@@ -13,9 +13,8 @@ import math
 import string
 
 import numpy as np
-from scipy.special import erf
+from scipy.special import ndtr
 
-_INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
@@ -93,9 +92,15 @@ def _tape_of(*xs) -> Tape | None:
     return None
 
 
-def _accum(x: Var, g: np.ndarray) -> None:
+def _accum(x: Var, g: np.ndarray, owned: bool = False) -> None:
+    """Add adjoint ``g`` into ``x.grad``.
+
+    ``owned`` says ``g`` is a fresh array no one else holds, so the first
+    adjoint is kept as the buffer.  Anything that may be a view or an alias of
+    another node's ``grad`` is copied, since the buffer is updated in place.
+    """
     if x.grad is None:
-        x.grad = np.array(g, dtype=np.float64)
+        x.grad = g if owned else np.array(g, dtype=np.float64)
     else:
         x.grad += g  # grad buffer is privately owned, in-place is safe
 
@@ -110,7 +115,7 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     return g.reshape(shape)
 
 
-def _binary(a, b, fwd, bwd_a, bwd_b):
+def _binary(a, b, fwd, bwd_a, bwd_b, owned: bool = False):
     tape = _tape_of(a, b)
     a = _lift(a, tape)
     b = _lift(b, tape)
@@ -120,9 +125,9 @@ def _binary(a, b, fwd, bwd_a, bwd_b):
             if out.grad is None:
                 return
             if a.requires_grad:
-                _accum(a, _unbroadcast(bwd_a(out.grad, a.value, b.value), a.shape))
+                _accum(a, _unbroadcast(bwd_a(out.grad, a.value, b.value), a.shape), owned)
             if b.requires_grad:
-                _accum(b, _unbroadcast(bwd_b(out.grad, a.value, b.value), b.shape))
+                _accum(b, _unbroadcast(bwd_b(out.grad, a.value, b.value), b.shape), owned)
         tape.record(backward)
     return out
 
@@ -136,10 +141,11 @@ def sub(a, b) -> Var:
 
 
 def mul(a, b) -> Var:
-    return _binary(a, b, lambda x, y: x * y, lambda g, x, y: g * y, lambda g, x, y: g * x)
+    return _binary(a, b, lambda x, y: x * y, lambda g, x, y: g * y, lambda g, x, y: g * x,
+                   owned=True)
 
 
-def _unary(a, fwd, bwd):
+def _unary(a, fwd, bwd, owned: bool = False):
     tape = _tape_of(a)
     a = _lift(a, tape)
     out = Var(fwd(a.value), tape, a.requires_grad)
@@ -147,14 +153,14 @@ def _unary(a, fwd, bwd):
         def backward():
             if out.grad is None:
                 return
-            _accum(a, bwd(out.grad, a.value, out.value))
+            _accum(a, bwd(out.grad, a.value, out.value), owned)
         tape.record(backward)
     return out
 
 
 def scale(a, c: float) -> Var:
     c = float(c)
-    return _unary(a, lambda x: x * c, lambda g, x, y: g * c)
+    return _unary(a, lambda x: x * c, lambda g, x, y: g * c, owned=True)
 
 
 def shift(a, c: float) -> Var:
@@ -163,34 +169,103 @@ def shift(a, c: float) -> Var:
 
 
 def exp(a) -> Var:
-    return _unary(a, np.exp, lambda g, x, y: g * y)
+    return _unary(a, np.exp, lambda g, x, y: g * y, owned=True)
 
 
 def log(a) -> Var:
-    return _unary(a, np.log, lambda g, x, y: g / x)
+    return _unary(a, np.log, lambda g, x, y: g / x, owned=True)
 
 
 def power(a, p: float) -> Var:
     p = float(p)
-    return _unary(a, lambda x: x ** p, lambda g, x, y: g * p * x ** (p - 1.0))
+    return _unary(a, lambda x: x ** p, lambda g, x, y: g * p * x ** (p - 1.0), owned=True)
 
 
 def clip_min(a, floor: float) -> Var:
     floor = float(floor)
-    return _unary(a, lambda x: np.maximum(x, floor), lambda g, x, y: g * (x > floor))
+    return _unary(a, lambda x: np.maximum(x, floor), lambda g, x, y: g * (x > floor),
+                  owned=True)
 
 
 def gelu(a) -> Var:
     """Exact Gaussian-error-linear unit: x * Phi(x)."""
-    def fwd(x):
-        fwd.cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))  # reused by the adjoint
-        return x * fwd.cdf
+    tape = _tape_of(a)
+    a = _lift(a, tape)
+    x = a.value
+    cdf = ndtr(x)  # Phi(x) = (1 + erf(x / sqrt(2))) / 2, reused by the adjoint
+    out = Var(x * cdf, tape, a.requires_grad)
+    if out.requires_grad:
+        def backward():
+            if out.grad is None:
+                return
+            pdf = _INV_SQRT2PI * np.exp(-0.5 * x * x)
+            _accum(a, out.grad * (cdf + x * pdf), owned=True)
+        tape.record(backward)
+    return out
 
-    def bwd(g, x, y):
-        pdf = _INV_SQRT2PI * np.exp(-0.5 * x * x)
-        return g * (fwd.cdf + x * pdf)
 
-    return _unary(a, fwd, bwd)
+def _row_dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Dot products along the last axis, kept as a length-1 axis."""
+    return np.einsum("...i,...i->...", u, v)[..., None]
+
+
+def layer_norm_last(a, gamma, beta, eps: float) -> Var:
+    """Normalize the last axis to zero mean and unit variance, then scale and shift."""
+    tape = _tape_of(a, gamma, beta)
+    a, gamma, beta = (_lift(v, tape) for v in (a, gamma, beta))
+    n = a.shape[-1]
+    xhat = a.value - a.value.mean(axis=-1, keepdims=True)
+    rstd = 1.0 / np.sqrt(_row_dot(xhat, xhat) / n + eps)
+    xhat *= rstd
+    y = xhat * gamma.value
+    y += beta.value
+    out = Var(y, tape, a.requires_grad or gamma.requires_grad or beta.requires_grad)
+    if out.requires_grad:
+        def backward():
+            if out.grad is None:
+                return
+            g = out.grad
+            if a.requires_grad:
+                gy = g * gamma.value
+                dx = gy - gy.mean(axis=-1, keepdims=True)
+                dx -= xhat * (_row_dot(gy, xhat) / n)
+                dx *= rstd
+                _accum(a, dx, owned=True)
+            if gamma.requires_grad:
+                _accum(gamma, _unbroadcast(g * xhat, gamma.shape), owned=True)
+            if beta.requires_grad:
+                _accum(beta, _unbroadcast(g, beta.shape))
+        tape.record(backward)
+    return out
+
+
+def _swap_pairs(x: np.ndarray) -> np.ndarray:
+    """(x0, x1, x2, x3, ...) -> (x1, x0, x3, x2, ...) along the last axis."""
+    out = np.empty_like(x)
+    out[..., 0::2] = x[..., 1::2]
+    out[..., 1::2] = x[..., 0::2]
+    return out
+
+
+def rotate_pairs(a, cos: np.ndarray, sin: np.ndarray) -> Var:
+    """Rotate consecutive feature pairs: ``a * cos + swap(a) * sin``.
+
+    ``swap`` exchanges the two entries of each pair.  ``cos``/``sin`` broadcast
+    against ``a`` and hold each pair's angle twice; ``sin`` carries the sign
+    pattern (-s, +s).  The adjoint is the inverse rotation,
+    ``g * cos + swap(g * sin)``.
+    """
+    tape = _tape_of(a)
+    a = _lift(a, tape)
+    out = Var(a.value * cos + _swap_pairs(a.value) * sin, tape, a.requires_grad)
+    if out.requires_grad:
+        def backward():
+            if out.grad is None:
+                return
+            g = out.grad
+            _accum(a, g * cos + _swap_pairs(g * sin), owned=True)
+        tape.record(backward)
+    return out
 
 
 def reshape(a, shape) -> Var:
@@ -290,7 +365,7 @@ def matmul(a, b, ta: bool = False, tb: bool = False) -> Var:
                     da = np.matmul(rhs, g.swapaxes(-1, -2))
                 else:
                     da = np.matmul(g, rhs.swapaxes(-1, -2))
-                _accum(a, da)
+                _accum(a, da, owned=True)
             if b.requires_grad:
                 if b_broadcast:
                     lhs2 = lhs.reshape(-1, lhs.shape[-1])
@@ -300,7 +375,7 @@ def matmul(a, b, ta: bool = False, tb: bool = False) -> Var:
                     db = np.matmul(lhs.swapaxes(-1, -2), g)
                 if tb:
                     db = db.swapaxes(-1, -2)
-                _accum(b, db)
+                _accum(b, db, owned=True)
         tape.record(backward)
     return out
 
@@ -339,7 +414,7 @@ def softmax_last(a) -> Var:
             if out.grad is None:
                 return
             g = out.grad
-            _accum(a, p * (g - (g * p).sum(axis=-1, keepdims=True)))
+            _accum(a, p * (g - (g * p).sum(axis=-1, keepdims=True)), owned=True)
         tape.record(backward)
     return out
 
@@ -358,7 +433,7 @@ def log_softmax_last(a) -> Var:
             if out.grad is None:
                 return
             g = out.grad
-            _accum(a, g - p * g.sum(axis=-1, keepdims=True))
+            _accum(a, g - p * g.sum(axis=-1, keepdims=True), owned=True)
         tape.record(backward)
     return out
 

@@ -47,6 +47,7 @@ from .model import (
     ModelConfig,
     PatchEmbedConfig,
     RotaryConfig,
+    _rotary_v,
 )
 from .train import (
     SyntheticTaskSpec,
@@ -377,7 +378,22 @@ def _op_cases(config):
         ("affine",
          lambda v: _loss_of(ops.affine_v(v["t"], v["w"], v["b"])),
          {"t": t0, "w": rng.standard_normal((4, 6)), "b": rng.standard_normal(6)}),
+        ("layer_norm_batched",
+         lambda v: _loss_of(ops.layer_norm_v(v["t"], v["g"], v["b"])),
+         {"t": 3.0 * rng.standard_normal((2, 5, 6)) + 1.0,
+          "g": 1.0 + 0.5 * rng.standard_normal(6), "b": 0.1 * rng.standard_normal(6)}),
     ]
+    # rotary over several modes at once (one table of summed angles); the weights
+    # break the rotation's norm invariance, which would hide a wrong adjoint
+    for dims in ((3, 4), (2, 3, 2)):
+        rot = RotaryConfig(modes=tuple(range(len(dims))))
+        w = ad.constant(rng.standard_normal((2,) + dims + (4,)))
+        cases.append((
+            f"rotary_{len(dims)}_modes",
+            lambda v, rot=rot, dims=dims, w=w: _loss_of(
+                ad.mul(_rotary_v(v["t"], rot, dims, lead=2), w)),
+            {"t": rng.standard_normal((2, 2) + dims + (4,))},
+        ))
     return cases
 
 

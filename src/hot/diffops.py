@@ -84,12 +84,7 @@ def affine_v(x: Var, w: Var, b: Var | None = None) -> Var:
 
 def layer_norm_v(x: Var, gamma: Var, beta: Var, eps: float = 1e-5) -> Var:
     """Layer normalization along the last axis with learned scale and shift."""
-    n = x.shape[-1]
-    mean = ad.scale(ad.sum_axes(x, -1, keepdims=True), 1.0 / n)
-    centered = ad.sub(x, mean)
-    var = ad.scale(ad.sum_axes(ad.mul(centered, centered), -1, keepdims=True), 1.0 / n)
-    rstd = ad.power(ad.shift(var, eps), -0.5)
-    return ad.add(ad.mul(ad.mul(centered, rstd), gamma), beta)
+    return ad.layer_norm_last(x, gamma, beta, eps)
 
 
 def gelu_v(x: Var) -> Var:

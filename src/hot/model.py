@@ -16,6 +16,7 @@ training and inference; all parameters live in a flat name -> array dict.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import asdict, dataclass
@@ -171,13 +172,29 @@ def rotary_tables(n_positions: int, d_head: int, base: float) -> tuple[np.ndarra
     return cos, sin
 
 
-def _pair_swap(d_head: int) -> np.ndarray:
-    """(x0, x1, x2, x3, ...) -> (-x1, x0, -x3, x2, ...) as a constant matrix."""
-    p = np.zeros((d_head, d_head))
-    for j in range(0, d_head, 2):
-        p[j, j + 1] = -1.0
-        p[j + 1, j] = 1.0
-    return p
+@functools.lru_cache(maxsize=32)
+def _rotary_table(modes: tuple[int, ...], base: float, token_dims: tuple[int, ...],
+                  d_head: int) -> tuple[np.ndarray, np.ndarray]:
+    """Cosine and signed sine over the token grid, shaped (*token_dims, d_head).
+
+    Rotations of the same feature pair add their angles, so the per-mode
+    phases compose into one table: the product of unit phases cos + i sin.
+    Axes of modes without rotary have length 1.  The sine carries the sign
+    pattern (-s, +s) of :func:`hot.autodiff.rotate_pairs`.  Read-only, since
+    the cache hands the same arrays to every caller.
+    """
+    k = len(token_dims)
+    phase = np.ones((1,) * k + (d_head,), dtype=np.complex128)
+    for m in modes:
+        cos, sin = rotary_tables(token_dims[m], d_head, base)
+        shape = [1] * k + [d_head]
+        shape[m] = token_dims[m]
+        phase = phase * (cos + 1j * sin).reshape(shape)
+    cos = np.ascontiguousarray(phase.real)
+    sin = phase.imag * np.tile([-1.0, 1.0], d_head // 2)
+    cos.flags.writeable = False
+    sin.flags.writeable = False
+    return cos, sin
 
 
 def rotary_encode(t: np.ndarray, cfg: RotaryConfig) -> np.ndarray:
@@ -187,33 +204,20 @@ def rotary_encode(t: np.ndarray, cfg: RotaryConfig) -> np.ndarray:
     identity rotation, and each rotation is an isometry of the feature pairs.
     """
     t = as_tensor(t)
-    out = t
-    swap = _pair_swap(t.shape[-1])
-    for m in cfg.modes:
-        cos, sin = rotary_tables(t.shape[m], t.shape[-1], cfg.base)
-        shape = [1] * t.ndim
-        shape[m] = t.shape[m]
-        shape[-1] = t.shape[-1]
-        out = out * cos.reshape(shape) + (out @ swap.T) * sin.reshape(shape)
-    return out
+    return _rotary_v(ad.constant(t), cfg, t.shape[:-1], lead=0).value
 
 
 def _rotary_v(t: Var, cfg: RotaryConfig, token_dims: tuple[int, ...], lead: int = 1) -> Var:
-    """Batched Var version of :func:`rotary_encode`; token modes start at ``lead``."""
+    """Batched Var version of :func:`rotary_encode`; token modes start at ``lead``.
+
+    One tape node for all modes, from the cached table of summed angles.
+    """
     if not cfg.modes:
         return t
-    d_head = t.shape[-1]
-    swap = ad.constant(_pair_swap(d_head))
-    for m in cfg.modes:
-        cos, sin = rotary_tables(token_dims[m], d_head, cfg.base)
-        shape = [1] * t.value.ndim
-        shape[lead + m] = token_dims[m]
-        shape[-1] = d_head
-        cos_c = ad.constant(cos.reshape(shape))
-        sin_c = ad.constant(sin.reshape(shape))
-        swapped = ad.matmul(t, swap, tb=True)
-        t = ad.add(ad.mul(t, cos_c), ad.mul(swapped, sin_c))
-    return t
+    if t.shape[lead:-1] != tuple(token_dims):
+        raise ValueError(f"token axes {t.shape[lead:-1]} != token dims {tuple(token_dims)}")
+    cos, sin = _rotary_table(tuple(cfg.modes), float(cfg.base), tuple(token_dims), t.shape[-1])
+    return ad.rotate_pairs(t, cos, sin)
 
 
 # ---------------------------------------------------------------------------

@@ -227,6 +227,29 @@ class TestTape:
         assert x.grad == pytest.approx(11.0)
 
 
+class TestGradOwnership:
+    """Leaf gradients are private buffers, even where an adjoint is a view of another."""
+
+    @pytest.mark.parametrize("build", [
+        lambda a, b: ad.add(a, b),
+        lambda a, b: ad.sub(a, b),
+        lambda a, b: ad.concat_last([a, b]),
+        lambda a, b: ad.add(ad.add(a, b), ad.reshape(ad.transpose(a, (1, 0)), (3, 4))),
+    ], ids=["add", "sub", "concat_last", "reshape_transpose"])
+    def test_leaf_grads_share_no_memory(self, build):
+        rng = np.random.default_rng(17)
+        tape = Tape()
+        a = tape.var(rng.standard_normal((3, 4)))
+        b = tape.var(rng.standard_normal((3, 4)))
+        out = build(a, b)
+        tape.backward(ad.sum_axes(ad.mul(out, ad.constant(rng.standard_normal(out.shape)))))
+        assert not np.shares_memory(a.grad, b.grad)
+        for mine, other in ((a, b), (b, a)):
+            before = other.grad.copy()
+            mine.grad += 1.0
+            assert np.array_equal(other.grad, before)
+
+
 class TestDiffOps:
     def test_matricize_fold_round_trip_gradient(self):
         rng = np.random.default_rng(12)

@@ -147,7 +147,8 @@ class TestGradcheckCommand:
         lines = (out / "gradcheck.csv").read_text().splitlines()
         cases = {line.split(",")[0] for line in lines[1:]}
         for expected in ("mode_product", "softmax_rows", "kernelized_mode_apply",
-                         "layer_norm", "gelu", "affine", "factored-softmax",
+                         "layer_norm", "layer_norm_batched", "gelu", "affine",
+                         "rotary_2_modes", "rotary_3_modes", "factored-softmax",
                          "full-linear", "hot-block", "quadratic-self-test",
                          "fault-injection"):
             assert expected in cases

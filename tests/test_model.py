@@ -1,5 +1,7 @@
 """Encoder block, rotary phases, patching, heads, and checkpoint tests."""
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -78,6 +80,13 @@ class TestRotary:
         out = _rotary_v(ad.constant(t), cfg, (5, 3)).value
         for b in range(2):
             assert np.abs(out[b] - rotary_encode(t[b], cfg)).max() <= 1e-12
+
+    def test_token_dims_must_match_token_axes(self):
+        from hot.model import _rotary_v
+
+        t = ad.constant(np.zeros((2, 5, 3, 4)))
+        with pytest.raises(ValueError):
+            _rotary_v(t, RotaryConfig(modes=(0, 1)), (3, 5))
 
 
 class TestPatchify:
@@ -237,6 +246,35 @@ class TestModelForward:
             for v in VARIANTS
         }
         assert len(set(counts.values())) == 1, counts
+
+    @pytest.mark.parametrize("cfg", [
+        # the forecast training configuration: factored softmax, mean head
+        ModelConfig(
+            raw_dims=(32, 8), patch=PatchEmbedConfig((4, 1)), rotary=RotaryConfig(modes=(0, 1)),
+            block=HOTBlockConfig(dims=(8, 8), d_model=32, heads=4, ffn_dim=64),
+            num_blocks=1, head=HeadConfig(task="forecast", pooling="mean", horizon=4, n_series=8),
+        ),
+        # the voxel model: factored linear over three modes, flatten head
+        ModelConfig(
+            raw_dims=(8, 8, 8), patch=PatchEmbedConfig((2, 2, 2)),
+            rotary=RotaryConfig(modes=(0, 1, 2)),
+            block=HOTBlockConfig(dims=(4, 4, 4), d_model=16, heads=2, ffn_dim=32,
+                                 variant="factored-linear",
+                                 feature_spec=FeatureMapSpec(16, 8, seed=11)),
+            num_blocks=1, head=HeadConfig(task="classify", pooling="flatten", num_classes=2),
+        ),
+    ], ids=["forecast", "voxel"])
+    def test_predict_leaves_no_reference_cycles(self, cfg):
+        # a cycle would keep each call's activations alive until the cyclic collector runs
+        model = HOTModel.initialize(cfg, seed=0)
+        x = np.random.default_rng(15).standard_normal((2,) + cfg.raw_dims)
+        gc.collect()
+        gc.disable()
+        try:
+            model.predict(x)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_gradients_flow_through_training_path(self):
         cfg = small_config()
