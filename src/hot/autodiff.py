@@ -5,6 +5,14 @@ the owning tape, so replaying the tape in reverse visits each recorded
 operation exactly once.  Gradients accumulate into ``Var.grad`` buffers with
 the same shape as the primal values.  Constants (``requires_grad=False``)
 record nothing.
+
+Adjoints are shared, not copied: a ``Var`` may keep as its ``grad`` a view or
+alias of another node's adjoint (a reshape, an add's pass-through, a
+``broadcast_to``).  This is safe because a backward closure never writes into
+an adjoint it received, and a ``grad`` is only updated in place by the ``Var``
+that owns it (``owns_grad``); a second accumulation into a borrowed buffer
+allocates a new one.  ``Tape.backward`` ends by copying every leaf ``grad``
+that is still borrowed, so leaf gradients are private and writable.
 """
 
 from __future__ import annotations
@@ -25,10 +33,14 @@ class TapeConsumedError(RuntimeError):
 class Tape:
     def __init__(self):
         self._nodes = []
+        self._leaves = []
         self._consumed = False
 
     def var(self, value, requires_grad: bool = True) -> "Var":
-        return Var(np.asarray(value, dtype=np.float64), self, requires_grad)
+        v = Var(np.asarray(value, dtype=np.float64), self, requires_grad)
+        if requires_grad:
+            self._leaves.append(v)
+        return v
 
     def record(self, fn) -> None:
         self._nodes.append(fn)
@@ -41,20 +53,26 @@ class Tape:
             raise ValueError("backward() needs a scalar loss")
         self._consumed = True
         loss.grad = np.ones_like(loss.value)
+        loss.owns_grad = True
         for fn in reversed(self._nodes):
             fn()
+        for v in self._leaves:
+            if v.grad is not None and not v.owns_grad:
+                v.grad = np.array(v.grad, dtype=np.float64)
+                v.owns_grad = True
 
 
 class Var:
     """A value in the computation graph; ``grad`` is filled by ``Tape.backward``."""
 
-    __slots__ = ("value", "grad", "tape", "requires_grad")
+    __slots__ = ("value", "grad", "owns_grad", "tape", "requires_grad")
 
     def __init__(self, value: np.ndarray, tape: Tape | None, requires_grad: bool):
         if requires_grad and tape is None:
             raise ValueError("a tracked Var needs a tape")
         self.value = np.asarray(value, dtype=np.float64)
         self.grad = None
+        self.owns_grad = False  # True once ``grad`` is a buffer no one else holds
         self.tape = tape
         self.requires_grad = requires_grad
 
@@ -93,16 +111,21 @@ def _tape_of(*xs) -> Tape | None:
 
 
 def _accum(x: Var, g: np.ndarray, owned: bool = False) -> None:
-    """Add adjoint ``g`` into ``x.grad``.
+    """Add adjoint ``g`` into ``x.grad``, copying on write.
 
-    ``owned`` says ``g`` is a fresh array no one else holds, so the first
-    adjoint is kept as the buffer.  Anything that may be a view or an alias of
-    another node's ``grad`` is copied, since the buffer is updated in place.
+    The first adjoint is kept as it is.  ``owned`` says ``g`` is a fresh array
+    no one else holds; otherwise it may be a (read-only) view or an alias of
+    another node's ``grad``, so the next accumulation allocates ``grad + g``
+    instead of writing into it.  An owned buffer accumulates in place.
     """
     if x.grad is None:
-        x.grad = g if owned else np.array(g, dtype=np.float64)
+        x.grad = g
+        x.owns_grad = owned
+    elif x.owns_grad:
+        x.grad += g
     else:
-        x.grad += g  # grad buffer is privately owned, in-place is safe
+        x.grad = x.grad + g
+        x.owns_grad = True
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -376,6 +399,45 @@ def matmul(a, b, ta: bool = False, tb: bool = False) -> Var:
                 if tb:
                     db = db.swapaxes(-1, -2)
                 _accum(b, db, owned=True)
+        tape.record(backward)
+    return out
+
+
+def apply_along(s, t, axis: int, lead: int = 1) -> Var:
+    """Apply matrices ``s`` (*lead, d, N) along ``axis`` of ``t`` (*lead, ..., N, ...).
+
+    ``t`` is viewed as (*lead, pre, N, post), with ``pre`` and ``post`` the
+    flattened axes before and after ``axis``, so the product
+    ``s[..., None, :, :] @ t`` needs no transpose of ``t``.  The result has
+    ``d`` at ``axis``.  The adjoints are ``s^T`` applied the same way, and
+    ``g @ t^T`` summed over ``pre``.
+    """
+    tape = _tape_of(s, t)
+    s = _lift(s, tape)
+    t = _lift(t, tape)
+    if not lead <= axis < t.value.ndim:
+        raise ValueError(f"axis {axis} lies outside the {t.value.ndim - lead} axes after "
+                         f"{lead} leading batch axes")
+    shape = t.shape
+    lead_shape = shape[:lead]
+    d, n = s.shape[-2:]
+    if s.shape[:-2] != lead_shape or shape[axis] != n:
+        raise ValueError(f"matrices {s.shape} cannot apply along axis {axis} of {shape}")
+    pre = math.prod(shape[lead:axis])
+    post = math.prod(shape[axis + 1:])
+    sv = s.value[..., None, :, :]
+    t3 = t.value.reshape(lead_shape + (pre, n, post))
+    out_shape = shape[:axis] + (d,) + shape[axis + 1:]
+    out = Var(np.matmul(sv, t3).reshape(out_shape), tape, s.requires_grad or t.requires_grad)
+    if out.requires_grad:
+        def backward():
+            if out.grad is None:
+                return
+            g3 = out.grad.reshape(lead_shape + (pre, d, post))
+            if t.requires_grad:
+                _accum(t, np.matmul(sv.swapaxes(-1, -2), g3).reshape(shape), owned=True)
+            if s.requires_grad:
+                _accum(s, np.matmul(g3, t3.swapaxes(-1, -2)).sum(axis=-3), owned=True)
         tape.record(backward)
     return out
 

@@ -371,6 +371,12 @@ def _op_cases(config):
          {"v": rng.standard_normal((2, 3, 4, 4)),
           "qt": rng.standard_normal((2, 3, 4)) * 0.5,
           "kt": rng.standard_normal((2, 3, 4)) * 0.5}),
+        # N = 10 > M = feature_count (8): phi(kt)^T contracts first
+        ("kernelized_mode_apply_key_first",
+         lambda v: _loss_of(ops.kernelized_mode_apply_v(v["v"], v["qt"], v["kt"], 1, spec, omega)),
+         {"v": rng.standard_normal((2, 10, 3, 2)),
+          "qt": rng.standard_normal((2, 10, 4)) * 0.5,
+          "kt": rng.standard_normal((2, 10, 4)) * 0.5}),
         ("layer_norm",
          lambda v: _loss_of(ops.layer_norm_v(v["t"], v["g"], v["b"])),
          {"t": t0, "g": 1.0 + 0.1 * rng.standard_normal(4), "b": 0.1 * rng.standard_normal(4)}),
@@ -383,6 +389,14 @@ def _op_cases(config):
          {"t": 3.0 * rng.standard_normal((2, 5, 6)) + 1.0,
           "g": 1.0 + 0.5 * rng.standard_normal(6), "b": 0.1 * rng.standard_normal(6)}),
     ]
+    # rectangular per-batch gates along the first, a middle and the last token axis
+    for axis, where, d in ((2, "first", 4), (3, "middle", 2), (4, "last", 6)):
+        cases.append((
+            f"batched_mode_apply_{where}_axis",
+            lambda v, axis=axis: _loss_of(ops.batched_mode_apply_v(v["t"], v["s"], axis, lead=2)),
+            {"t": rng.standard_normal((2, 2, 3, 4, 5, 2)),
+             "s": rng.standard_normal((2, 2, d, (3, 4, 5)[axis - 2]))},
+        ))
     # rotary over several modes at once (one table of summed angles); the weights
     # break the rotation's norm invariance, which would hide a wrong adjoint
     for dims in ((3, 4), (2, 3, 2)):

@@ -40,29 +40,9 @@ def mode_product_v(t: Var, a: Var, mode: int) -> Var:
     return ad.einsum(f"y{letters[mode]},{letters}->{out}", a, t)
 
 
-def _move_axis_to_rows(t: Var, axis: int, lead: int = 1) -> tuple[Var, tuple, tuple]:
-    """Reshape (*lead, ..., N at axis, ...) to (*lead, N, rest); returns restore info."""
-    nd = t.value.ndim
-    perm = tuple(range(lead)) + (axis,) + tuple(i for i in range(lead, nd) if i != axis)
-    moved = ad.transpose(t, perm)
-    mid_shape = moved.shape
-    flat = ad.reshape(moved, mid_shape[:lead + 1] + (-1,))
-    return flat, mid_shape, perm
-
-
-def _restore_rows(flat: Var, mid_shape: tuple, perm: tuple, new_rows: int, lead: int = 1) -> Var:
-    cube = ad.reshape(flat, mid_shape[:lead] + (new_rows,) + mid_shape[lead + 1:])
-    inverse = tuple(int(i) for i in np.argsort(perm))
-    return ad.transpose(cube, inverse)
-
-
 def batched_mode_apply_v(t: Var, s: Var, axis: int, lead: int = 1) -> Var:
     """Apply per-batch matrices ``s`` (*lead, d, N) along ``axis`` of ``t`` (*lead, ...)."""
-    if axis < lead:
-        raise ValueError("axis lies in the leading batch axes")
-    flat, mid_shape, perm = _move_axis_to_rows(t, axis, lead)
-    out = ad.matmul(s, flat)
-    return _restore_rows(out, mid_shape, perm, s.shape[-2], lead)
+    return ad.apply_along(s, t, axis, lead)
 
 
 def sum_except_v(t: Var, keep_axes) -> Var:
@@ -105,27 +85,30 @@ def kernelized_mode_apply_v(v: Var, qt: Var, kt: Var, axis: int, spec: FeatureMa
     """Batched differentiable kernelized attention along one mode.
 
     ``v`` is (*lead, ..., N, ..., E) with ``N`` at ``axis``; ``qt``/``kt`` are
-    the pooled per-mode matrices (*lead, N, E).  Key-side contraction first,
-    Z floored at the same epsilon as the forward-only path.
+    the pooled per-mode matrices (*lead, N, E).  Applies
+    ``S = Z^-1 phi(qt) phi(kt)^T`` with Z floored at the same epsilon as the
+    forward-only path.  The contraction order follows from the shapes: with
+    ``N <= M`` random features the N x N gate is built and applied once;
+    otherwise (for example over flattened tokens) ``phi(kt)^T`` contracts
+    first, so the cost stays linear in ``N``.
     """
     if omega is None:
         omega = projection_matrix(spec)
     scale = qt.shape[-1] ** -0.25
     qp = feature_map_v(ad.scale(qt, scale), spec, omega)  # (*lead, N, M)
     kp = feature_map_v(ad.scale(kt, scale), spec, omega)
-    flat, mid_shape, perm = _move_axis_to_rows(v, axis, lead)
-    keyed = ad.matmul(kp, flat, ta=True)  # (*lead, M, rest)
-    queried = ad.matmul(qp, keyed)  # (*lead, N, rest)
-    m = qp.shape[-1]
     batch_shape = qp.shape[:-2]
-    n = qp.shape[-2]
+    n, m = qp.shape[-2:]
     z = ad.reshape(ad.matmul(qp, ad.reshape(ad.sum_axes(kp, len(batch_shape)),
                                             batch_shape + (m, 1))),
                    batch_shape + (n,))
     z = ad.clip_min(z, EPS_Z)
-    zinv = ad.reshape(ad.power(z, -1.0), batch_shape + (n, 1))
-    out = ad.mul(queried, zinv)
-    return _restore_rows(out, mid_shape, perm, v.shape[axis], lead)
+    qn = ad.mul(qp, ad.reshape(ad.power(z, -1.0), batch_shape + (n, 1)))  # Z^-1 phi(qt)
+    if n <= m:
+        return ad.apply_along(ad.matmul(qn, kp, tb=True), v, axis, lead)
+    swap = tuple(range(len(batch_shape))) + (len(batch_shape) + 1, len(batch_shape))
+    keyed = ad.apply_along(ad.transpose(kp, swap), v, axis, lead)  # M at axis
+    return ad.apply_along(qn, keyed, axis, lead)
 
 
 def mse_v(pred: Var, target: np.ndarray) -> Var:

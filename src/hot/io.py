@@ -6,6 +6,8 @@ Layout (little-endian, no padding, no compression):
     order   u32       number of modes k
     dims    k * u64
     data    prod(dims) * f64, row-major (last index fastest)
+
+Nothing follows the data; trailing bytes are a malformed file.
 """
 
 from __future__ import annotations
@@ -69,6 +71,10 @@ def read_tensor(path) -> np.ndarray:
     if len(raw) - dims_end < 8 * count:
         raise TruncatedPayloadError(
             f"{path}: payload holds {(len(raw) - dims_end) // 8} of {count} elements"
+        )
+    if len(raw) - dims_end > 8 * count:
+        raise MalformedHeaderError(
+            f"{path}: {len(raw) - dims_end - 8 * count} trailing bytes after {count} elements"
         )
     data = np.frombuffer(raw, dtype="<f8", count=count, offset=dims_end)
     return data.astype(np.float64).reshape(dims)

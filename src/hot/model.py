@@ -434,13 +434,33 @@ class HOTModel:
 
     @classmethod
     def load(cls, directory) -> "HOTModel":
+        """Read a checkpoint written by :meth:`save`.
+
+        The manifest must list exactly the parameters of
+        ``initialize(config)``, each in a file directly inside ``directory``
+        with the parameter's shape; otherwise ``ValueError`` names the
+        parameter.
+        """
         directory = Path(directory)
         manifest = json.loads((directory / "manifest.json").read_text())
         config = _config_from_dict(manifest["config"])
-        params = {
-            name: read_tensor(directory / fname)
-            for name, fname in manifest["params"].items()
-        }
+        expected = cls.initialize(config).params
+        files = manifest["params"]
+        mismatched = sorted(set(expected) ^ set(files))
+        if mismatched:
+            name = mismatched[0]
+            where = "missing from" if name in expected else "unknown to"
+            raise ValueError(f"parameter {name!r} is {where} the model configured in {directory}")
+        params = {}
+        for name, fname in files.items():
+            if not isinstance(fname, str) or fname in ("", "..") or Path(fname).name != fname:
+                raise ValueError(f"parameter {name!r}: file name {fname!r} is not a bare name "
+                                 f"inside {directory}")
+            value = read_tensor(directory / fname)
+            if value.shape != expected[name].shape:
+                raise ValueError(f"parameter {name!r} has shape {value.shape}, "
+                                 f"expected {expected[name].shape}")
+            params[name] = value
         return cls(config, params)
 
 

@@ -235,7 +235,10 @@ class TestGradOwnership:
         lambda a, b: ad.sub(a, b),
         lambda a, b: ad.concat_last([a, b]),
         lambda a, b: ad.add(ad.add(a, b), ad.reshape(ad.transpose(a, (1, 0)), (3, 4))),
-    ], ids=["add", "sub", "concat_last", "reshape_transpose"])
+        # a's only adjoint is a read-only broadcast_to view of sum_axes
+        lambda a, b: ad.add(ad.sum_axes(a, 1, keepdims=True), b),
+        lambda a, b: ad.add(ad.add(a, a), b),
+    ], ids=["add", "sub", "concat_last", "reshape_transpose", "sum_axes", "add_same_leaf"])
     def test_leaf_grads_share_no_memory(self, build):
         rng = np.random.default_rng(17)
         tape = Tape()
@@ -248,6 +251,15 @@ class TestGradOwnership:
             before = other.grad.copy()
             mine.grad += 1.0
             assert np.array_equal(other.grad, before)
+
+    def test_same_leaf_twice_accumulates_both_adjoints(self):
+        rng = np.random.default_rng(18)
+        w = rng.standard_normal((3, 4))
+        tape = Tape()
+        a = tape.var(rng.standard_normal((3, 4)))
+        tape.backward(ad.sum_axes(ad.mul(ad.add(a, a), ad.constant(w))))
+        assert np.array_equal(a.grad, 2.0 * w)
+        assert a.grad.flags.writeable
 
 
 class TestDiffOps:
@@ -269,18 +281,28 @@ class TestDiffOps:
         expected = np.einsum("bij,bcjd->bcid", s0, t0)
         assert np.abs(out.value - expected).max() <= 1e-12
 
-    def test_kernelized_apply_forward_matches_reference(self):
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    @pytest.mark.parametrize("n", [5, 20], ids=["gate", "key_first"])  # against M = 16
+    @pytest.mark.parametrize("scale", [0.5, 4.0], ids=["unfloored", "floored"])
+    def test_kernelized_apply_forward_matches_reference(self, axis, n, scale):
         from hot.attention import kernelized_mode_apply
 
         rng = np.random.default_rng(14)
         spec = FeatureMapSpec(16, 4, seed=5)
-        v0 = rng.standard_normal((3, 5, 4))
-        qt0 = rng.standard_normal((3, 4)) * 0.5
-        kt0 = rng.standard_normal((3, 4)) * 0.5
+        shape = [3, 2, 4]
+        shape[axis] = n
+        qt0 = rng.standard_normal((n, 4)) * scale
+        kt0 = rng.standard_normal((n, 4)) * scale
+        v0 = rng.standard_normal(tuple(shape) + (4,))
+        stats = {}
+        ref = kernelized_mode_apply(v0, qt0, kt0, axis, spec, stats=stats)
+        if scale > 1.0:
+            assert 0 < stats["z_floored"] < n
+        else:
+            assert stats["z_floored"] == 0
         # batched path with batch size 1 equals the unbatched reference
         out = ops.kernelized_mode_apply_v(
-            ad.constant(v0[None]), ad.constant(qt0[None]), ad.constant(kt0[None]), 1, spec)
-        ref = kernelized_mode_apply(v0, qt0, kt0, 0, spec)
+            ad.constant(v0[None]), ad.constant(qt0[None]), ad.constant(kt0[None]), axis + 1, spec)
         assert np.abs(out.value[0] - ref).max() <= 1e-12
 
     def test_layer_norm_normalizes(self):

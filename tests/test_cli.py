@@ -147,6 +147,8 @@ class TestGradcheckCommand:
         lines = (out / "gradcheck.csv").read_text().splitlines()
         cases = {line.split(",")[0] for line in lines[1:]}
         for expected in ("mode_product", "softmax_rows", "kernelized_mode_apply",
+                         "kernelized_mode_apply_key_first", "batched_mode_apply_first_axis",
+                         "batched_mode_apply_middle_axis", "batched_mode_apply_last_axis",
                          "layer_norm", "layer_norm_batched", "gelu", "affine",
                          "rotary_2_modes", "rotary_3_modes", "factored-softmax",
                          "full-linear", "hot-block", "quadratic-self-test",

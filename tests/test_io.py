@@ -73,3 +73,12 @@ def test_zero_dim_rejected(tmp_path):
     path.write_bytes(b"HOT1" + struct.pack("<I", 2) + struct.pack("<QQ", 2, 0))
     with pytest.raises(MalformedHeaderError):
         read_tensor(path)
+
+
+def test_trailing_bytes_rejected(tmp_path):
+    path = tmp_path / "t.hot"
+    write_tensor(path, np.arange(6.0).reshape(2, 3))
+    with open(path, "ab") as fh:
+        fh.write(b"\x00" * 8)
+    with pytest.raises(MalformedHeaderError, match="trailing"):
+        read_tensor(path)

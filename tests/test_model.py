@@ -1,6 +1,7 @@
 """Encoder block, rotary phases, patching, heads, and checkpoint tests."""
 
 import gc
+import json
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from hot import autodiff as ad
 from hot.autodiff import Tape
 from hot.features import FeatureMapSpec
+from hot.io import write_tensor
 from hot.model import (
     HeadConfig,
     HOTBlockConfig,
@@ -350,11 +352,37 @@ class TestCheckpoint:
         assert np.array_equal(back.predict(x), model.predict(x))
 
     def test_manifest_lists_every_parameter(self, tmp_path):
-        import json
-
         cfg = small_config()
         model = HOTModel.initialize(cfg, seed=9)
         model.save(tmp_path / "ckpt")
         manifest = json.loads((tmp_path / "ckpt" / "manifest.json").read_text())
         assert set(manifest["params"]) == set(model.params)
         assert manifest["config"]["num_blocks"] == 1
+
+    def _saved_manifest(self, tmp_path):
+        model = HOTModel.initialize(small_config(), seed=10)
+        model.save(tmp_path / "ckpt")
+        path = tmp_path / "ckpt" / "manifest.json"
+        return path, json.loads(path.read_text())
+
+    def test_missing_parameter_rejected(self, tmp_path):
+        path, manifest = self._saved_manifest(tmp_path)
+        del manifest["params"]["head.b"]
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match="'head.b'"):
+            HOTModel.load(tmp_path / "ckpt")
+
+    def test_wrong_shape_rejected(self, tmp_path):
+        _, manifest = self._saved_manifest(tmp_path)
+        write_tensor(tmp_path / "ckpt" / manifest["params"]["head.b"], np.zeros(7))
+        with pytest.raises(ValueError, match="'head.b' has shape"):
+            HOTModel.load(tmp_path / "ckpt")
+
+    def test_file_name_outside_directory_rejected(self, tmp_path):
+        path, manifest = self._saved_manifest(tmp_path)
+        fname = manifest["params"]["head.b"]
+        (tmp_path / fname).write_bytes((tmp_path / "ckpt" / fname).read_bytes())
+        manifest["params"]["head.b"] = "../" + fname
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match="'head.b': file name"):
+            HOTModel.load(tmp_path / "ckpt")
