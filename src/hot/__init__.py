@@ -8,6 +8,7 @@ from .attention import (
     full_attention_linear,
     full_high_order_attention,
     kernelized_mode_apply,
+    materialized_attention,
     mode_attention_matrix,
     random_attention_weights,
     softmax_rows,
@@ -18,33 +19,29 @@ from .io import read_tensor, write_tensor
 from .kron import (
     KronFactors,
     KronSum,
-    apply_factors,
-    kron,
     kron_decompose,
     kron_rank_bound,
     materialize,
     reconstruction_error,
     vanloan_rearrange,
 )
-from .tensor import fold, matricize, mode_product, pool_mean_except, pool_sum_except
+from .tensor import matricize, mode_product, pool_mean_except, pool_sum_except
 
 __all__ = [
     "AttentionWeights",
     "FeatureMapSpec",
     "KronFactors",
     "KronSum",
-    "apply_factors",
     "factorized_attention_linear",
     "factorized_attention_softmax",
     "feature_map",
-    "fold",
     "full_attention_linear",
     "full_high_order_attention",
     "kernelized_mode_apply",
-    "kron",
     "kron_decompose",
     "kron_rank_bound",
     "materialize",
+    "materialized_attention",
     "matricize",
     "mode_attention_matrix",
     "mode_product",

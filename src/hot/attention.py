@@ -6,6 +6,9 @@ only in how the ``prod(N_i) x prod(N_i)`` attention matrix is represented:
 
 * ``full_high_order_attention``    exact softmax over flattened tokens; the
                                    quadratic oracle, refused above a size cap.
+* ``materialized_attention``       the Kronecker product of the per-mode
+                                   matrices built explicitly; the oracle for
+                                   the factorized softmax variant.
 * ``factorized_attention_softmax`` one softmax attention matrix per mode and
                                    head, combined implicitly as a Kronecker
                                    product and applied by mode products.
@@ -28,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .features import FeatureMapSpec, feature_map, projection_matrix
+from .kron import kron_chain
 from .tensor import as_tensor, mode_product, pool_mean_except, pool_sum_except
 
 DEFAULT_ORACLE_CAP = 4096
@@ -171,6 +175,27 @@ def full_high_order_attention(x: np.ndarray, w: AttentionWeights,
         )
     flat = x.reshape(tokens, x.shape[-1])
     return standard_attention(flat, w).reshape(x.shape)
+
+
+def materialized_attention(x: np.ndarray, w: AttentionWeights,
+                           pooling: str = "sum") -> np.ndarray:
+    """Kronecker-factorized softmax attention with the implied matrix materialized.
+
+    Per head, builds ``S_0 (x) ... (x) S_{k-1}`` from the per-mode matrices of
+    :func:`mode_attention_matrix` and applies it to the flattened values.  The
+    verification oracle for :func:`factorized_attention_softmax`; memory is
+    quadratic in ``prod(N_i)``.
+    """
+    x = _check_input(x, w)
+    tokens = math.prod(x.shape[:-1])
+    out = np.zeros_like(x)
+    for h in range(w.heads):
+        q = x @ w.wq[h]
+        kt = x @ w.wk[h]
+        v = x @ w.wv[h]
+        s = kron_chain(mode_attention_matrix(q, kt, i, pooling) for i in range(x.ndim - 1))
+        out += (s @ v.reshape(tokens, w.d_head)).reshape(v.shape) @ w.wo[h]
+    return out
 
 
 def factorized_attention_softmax(x: np.ndarray, w: AttentionWeights,

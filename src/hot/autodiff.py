@@ -18,7 +18,6 @@ that is still borrowed, so leaf gradients are private and writable.
 from __future__ import annotations
 
 import math
-import string
 
 import numpy as np
 from scipy.special import ndtr
@@ -79,18 +78,6 @@ class Var:
     @property
     def shape(self):
         return self.value.shape
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
 
 
 def constant(value) -> Var:
@@ -186,17 +173,8 @@ def scale(a, c: float) -> Var:
     return _unary(a, lambda x: x * c, lambda g, x, y: g * c, owned=True)
 
 
-def shift(a, c: float) -> Var:
-    c = float(c)
-    return _unary(a, lambda x: x + c, lambda g, x, y: g)
-
-
 def exp(a) -> Var:
     return _unary(a, np.exp, lambda g, x, y: g * y, owned=True)
-
-
-def log(a) -> Var:
-    return _unary(a, np.log, lambda g, x, y: g / x, owned=True)
 
 
 def power(a, p: float) -> Var:
@@ -336,31 +314,6 @@ def mean_all(a) -> Var:
     return scale(sum_axes(a_var), 1.0 / a_var.value.size)
 
 
-def einsum(subscripts: str, *xs) -> Var:
-    """Differentiable einsum; no ellipses, no in-operand repeated indices."""
-    tape = _tape_of(*xs)
-    xs = [_lift(x, tape) for x in xs]
-    in_part, out_sub = subscripts.split("->")
-    in_subs = in_part.split(",")
-    if len(in_subs) != len(xs):
-        raise ValueError(f"{subscripts!r} expects {len(in_subs)} operands, got {len(xs)}")
-    values = [x.value for x in xs]
-    out = Var(np.einsum(subscripts, *values, optimize=True), tape, any(x.requires_grad for x in xs))
-    if out.requires_grad:
-        def backward():
-            if out.grad is None:
-                return
-            for i, x in enumerate(xs):
-                if not x.requires_grad:
-                    continue
-                rest_subs = [in_subs[j] for j in range(len(xs)) if j != i]
-                rest_vals = [values[j] for j in range(len(xs)) if j != i]
-                spec = ",".join([out_sub] + rest_subs) + "->" + in_subs[i]
-                _accum(x, np.einsum(spec, out.grad, *rest_vals, optimize=True))
-        tape.record(backward)
-    return out
-
-
 def matmul(a, b, ta: bool = False, tb: bool = False) -> Var:
     """Batched matrix product over the last two axes (BLAS-backed).
 
@@ -498,13 +451,3 @@ def log_softmax_last(a) -> Var:
             _accum(a, g - p * g.sum(axis=-1, keepdims=True), owned=True)
         tape.record(backward)
     return out
-
-
-_LETTERS = string.ascii_lowercase
-
-
-def axis_letters(n: int) -> str:
-    """Distinct einsum letters for an n-axis operand."""
-    if n > len(_LETTERS) - 2:
-        raise ValueError("too many axes for einsum letter pool")
-    return _LETTERS[:n]

@@ -32,6 +32,7 @@ from .attention import (
     factorized_attention_softmax,
     full_attention_linear,
     full_high_order_attention,
+    materialized_attention,
     mode_attention_matrix,
     random_attention_weights,
     softmax_rows,
@@ -173,6 +174,18 @@ DEFAULTS = {
 }
 
 
+# bool before int, since a Python bool is an int
+JSON_TYPES = ((bool, "boolean"), (int, "integer"), (float, "number"), (str, "string"),
+              (list, "array"), (dict, "object"))
+# JSON types a value may take besides its default's: a number may be written
+# as an integer, and an unset (null) default may be given as an array
+ALSO_ACCEPTED = {"number": ("integer",), "null": ("array",)}
+
+
+def _json_type(value) -> str:
+    return "null" if value is None else next(t for cls, t in JSON_TYPES if isinstance(value, cls))
+
+
 def load_config(command: str, path: str | None, overrides: dict) -> dict:
     config = {k: (json.loads(json.dumps(v))) for k, v in DEFAULTS[command].items()}
     if path is not None:
@@ -185,6 +198,10 @@ def load_config(command: str, path: str | None, overrides: dict) -> dict:
         unknown = set(user) - set(config)
         if unknown:
             raise ConfigError(f"unknown config keys for {command}: {sorted(unknown)}")
+        for key, value in user.items():
+            want, got = _json_type(config[key]), _json_type(value)
+            if got != want and got not in ALSO_ACCEPTED.get(want, ()):
+                raise ConfigError(f"config key {key!r} must be a JSON {want}, got {got}")
         config.update(user)
     config.update({k: v for k, v in overrides.items() if v is not None and k in config})
     return config
@@ -237,21 +254,6 @@ class Report:
 # equiv
 
 
-def _materialized_reference(x, w):
-    k = x.ndim - 1
-    tokens = math.prod(x.shape[:-1])
-    out = np.zeros_like(x)
-    for h in range(w.heads):
-        q = x @ w.wq[h]
-        kt = x @ w.wk[h]
-        v = x @ w.wv[h]
-        s = np.eye(1)
-        for i in range(k):
-            s = np.kron(s, mode_attention_matrix(q, kt, i))
-        out += (s @ v.reshape(tokens, w.d_head)).reshape(v.shape) @ w.wo[h]
-    return out
-
-
 def cmd_equiv(config: dict, out_dir: Path) -> int:
     report = Report("equiv", out_dir)
     tol = float(config["tolerance"])
@@ -269,7 +271,7 @@ def cmd_equiv(config: dict, out_dir: Path) -> int:
                 x = rng.standard_normal(shape + (d_model,))
                 w = random_attention_weights(d_model, heads, seed=seed + 1000)
                 out = factorized_attention_softmax(x, w)
-                ref = _materialized_reference(x, w)
+                ref = materialized_attention(x, w)
                 err = float(np.abs(out - ref).max())
                 rows.append(["factored-vs-materialized", str(shape), heads, seed, err, tol,
                              "PASS" if err <= tol else "FAIL"])
@@ -278,9 +280,7 @@ def cmd_equiv(config: dict, out_dir: Path) -> int:
                 # implied per-head attention matrix row sums
                 q = x @ w.wq[0]
                 kt = x @ w.wk[0]
-                s = np.eye(1)
-                for i in range(len(shape)):
-                    s = np.kron(s, mode_attention_matrix(q, kt, i))
+                s = kron_chain(mode_attention_matrix(q, kt, i) for i in range(len(shape)))
                 row_err = float(np.abs(s.sum(axis=1) - 1.0).max())
                 rows.append(["row-stochastic", str(shape), heads, seed, row_err, tol,
                              "PASS" if row_err <= tol else "FAIL"])
@@ -344,24 +344,16 @@ def _loss_of(out: ad.Var) -> ad.Var:
 def _op_cases(config):
     """Named differentiable ops: (name, case(vars) -> loss Var, param arrays)."""
     rng = np.random.default_rng(12345)
-    shape = (3, 4, 4)
-    t0 = rng.standard_normal(shape)
-    a0 = rng.standard_normal((5, 4))
+    t0 = rng.standard_normal((3, 4, 4))
     spec = FeatureMapSpec(int(config["feature_count"]), 4, seed=3)
     omega = projection_matrix(spec)
 
     cases = [
-        ("mode_product",
-         lambda v: _loss_of(ops.mode_product_v(v["t"], v["a"], 1)),
-         {"t": t0, "a": a0}),
-        ("matricize_fold",
-         lambda v: _loss_of(ops.fold_v(ops.matricize_v(v["t"], 1), 1, shape)),
-         {"t": t0}),
         ("pooling",
          lambda v: _loss_of(ops.sum_except_v(v["t"], (1, 2))),
          {"t": rng.standard_normal((2, 3, 4, 4))}),
         ("softmax_rows",
-         lambda v: _loss_of(ops.softmax_rows_v(v["m"])),
+         lambda v: _loss_of(ad.softmax_last(v["m"])),
          {"m": rng.standard_normal((5, 6))}),
         ("feature_map",
          lambda v: _loss_of(ops.feature_map_v(v["m"], spec, omega)),
@@ -380,7 +372,7 @@ def _op_cases(config):
         ("layer_norm",
          lambda v: _loss_of(ops.layer_norm_v(v["t"], v["g"], v["b"])),
          {"t": t0, "g": 1.0 + 0.1 * rng.standard_normal(4), "b": 0.1 * rng.standard_normal(4)}),
-        ("gelu", lambda v: _loss_of(ops.gelu_v(v["t"])), {"t": t0}),
+        ("gelu", lambda v: _loss_of(ad.gelu(v["t"])), {"t": t0}),
         ("affine",
          lambda v: _loss_of(ops.affine_v(v["t"], v["w"], v["b"])),
          {"t": t0, "w": rng.standard_normal((4, 6)), "b": rng.standard_normal(6)}),
@@ -665,20 +657,23 @@ def _build_model_config(config: dict, mask, variant, heads,
     d_model = int(config["d_model"])
     token_dims = (t_len // 4, n_series)
     spec = None
-    if "linear" in variant:
-        spec = FeatureMapSpec(int(config["feature_count"]), d_model // heads, seed=11)
-    return ModelConfig(
-        raw_dims=(t_len, n_series),
-        patch=PatchEmbedConfig((4, 1)),
-        rotary=RotaryConfig(modes=tuple(config["rotary_modes"])),
-        block=HOTBlockConfig(
-            dims=token_dims, d_model=d_model, heads=heads, variant=variant,
-            ffn_dim=int(config["ffn_dim"]), mode_mask=tuple(mask) if mask else (),
-            feature_spec=spec),
-        num_blocks=1,
-        head=HeadConfig(task="forecast", pooling=pooling_head or config["pooling_head"],
-                        horizon=int(config["horizon"]), n_series=n_series),
-    )
+    try:
+        if "linear" in variant:
+            spec = FeatureMapSpec(int(config["feature_count"]), d_model // heads, seed=11)
+        return ModelConfig(
+            raw_dims=(t_len, n_series),
+            patch=PatchEmbedConfig((4, 1)),
+            rotary=RotaryConfig(modes=tuple(config["rotary_modes"])),
+            block=HOTBlockConfig(
+                dims=token_dims, d_model=d_model, heads=heads, variant=variant,
+                ffn_dim=int(config["ffn_dim"]), mode_mask=tuple(mask) if mask else (),
+                feature_spec=spec),
+            num_blocks=1,
+            head=HeadConfig(task="forecast", pooling=pooling_head or config["pooling_head"],
+                            horizon=int(config["horizon"]), n_series=n_series),
+        )
+    except ValueError as e:
+        raise ConfigError(f"model: {e}") from e
 
 
 def _task_spec(config: dict, seed: int, gain_key: str = "interaction_gain") -> SyntheticTaskSpec:
@@ -694,7 +689,10 @@ def _task_spec(config: dict, seed: int, gain_key: str = "interaction_gain") -> S
     else:
         kwargs.update(volume=tuple(config.get("volume", (8, 8, 8))),
                       num_classes=int(config.get("num_classes", 2)))
-    return SyntheticTaskSpec(**kwargs)
+    try:
+        return SyntheticTaskSpec(**kwargs)
+    except ValueError as e:
+        raise ConfigError(f"task: {e}") from e
 
 
 def _mask_str(mask) -> str:
@@ -792,23 +790,26 @@ def cmd_train(config: dict, out_dir: Path) -> int:
     else:
         volume = tuple(config["volume"])
         spec = None
-        if "linear" in config["variant"]:
-            spec = FeatureMapSpec(int(config["feature_count"]),
-                                  int(config["d_model"]) // int(config["heads"]), seed=11)
         token_dims = tuple(v // 2 for v in volume)
-        mcfg = ModelConfig(
-            raw_dims=volume,
-            patch=PatchEmbedConfig((2, 2, 2)),
-            rotary=RotaryConfig(modes=(0, 1, 2)),
-            block=HOTBlockConfig(dims=token_dims, d_model=int(config["d_model"]),
-                                 heads=int(config["heads"]), variant=config["variant"],
-                                 ffn_dim=int(config["ffn_dim"]),
-                                 mode_mask=tuple(mask) if mask else (),
-                                 feature_spec=spec),
-            num_blocks=1,
-            head=HeadConfig(task="classify", pooling=config["pooling_head"],
-                            num_classes=int(config["num_classes"])),
-        )
+        try:
+            if "linear" in config["variant"]:
+                spec = FeatureMapSpec(int(config["feature_count"]),
+                                      int(config["d_model"]) // int(config["heads"]), seed=11)
+            mcfg = ModelConfig(
+                raw_dims=volume,
+                patch=PatchEmbedConfig((2, 2, 2)),
+                rotary=RotaryConfig(modes=(0, 1, 2)),
+                block=HOTBlockConfig(dims=token_dims, d_model=int(config["d_model"]),
+                                     heads=int(config["heads"]), variant=config["variant"],
+                                     ffn_dim=int(config["ffn_dim"]),
+                                     mode_mask=tuple(mask) if mask else (),
+                                     feature_spec=spec),
+                num_blocks=1,
+                head=HeadConfig(task="classify", pooling=config["pooling_head"],
+                                num_classes=int(config["num_classes"])),
+            )
+        except ValueError as e:
+            raise ConfigError(f"model: {e}") from e
     model = HOTModel.initialize(mcfg, seed=int(config["seed"]))
     log_rows = []
     res = train_model(model, data, steps=int(config["steps"]),

@@ -1,6 +1,7 @@
 """Differentiable composites of the tape primitives.
 
-Mirrors of the forward-only tensor/attention operations, expressed over
+The model's building blocks (mode application, pooling, affine maps, layer
+norm, random features, kernelized attention and losses), expressed over
 :class:`~hot.autodiff.Var` so the tape provides exact adjoints.  These carry a
 leading batch axis where noted; the feature-map projection matrix is treated
 as a constant (no gradient flows into the random draw).
@@ -14,30 +15,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .attention import EPS_Z
-from .autodiff import Var, axis_letters
+from .autodiff import Var
 from .features import FeatureMapSpec, projection_matrix
-
-
-def matricize_v(t: Var, mode: int) -> Var:
-    perm = (mode,) + tuple(i for i in range(t.value.ndim) if i != mode)
-    moved = ad.transpose(t, perm)
-    return ad.reshape(moved, (t.shape[mode], t.value.size // t.shape[mode]))
-
-
-def fold_v(m: Var, mode: int, shape) -> Var:
-    shape = tuple(shape)
-    rest = tuple(d for i, d in enumerate(shape) if i != mode)
-    cube = ad.reshape(m, (shape[mode],) + rest)
-    perm = list(range(1, len(shape)))
-    perm.insert(mode, 0)
-    return ad.transpose(cube, perm)
-
-
-def mode_product_v(t: Var, a: Var, mode: int) -> Var:
-    """Contract matrix ``a`` (d, N) against axis ``mode`` of ``t``."""
-    letters = axis_letters(t.value.ndim)
-    out = letters[:mode] + "y" + letters[mode + 1:]
-    return ad.einsum(f"y{letters[mode]},{letters}->{out}", a, t)
 
 
 def batched_mode_apply_v(t: Var, s: Var, axis: int, lead: int = 1) -> Var:
@@ -52,10 +31,6 @@ def sum_except_v(t: Var, keep_axes) -> Var:
     return ad.sum_axes(t, drop) if drop else t
 
 
-def softmax_rows_v(m: Var) -> Var:
-    return ad.softmax_last(m)
-
-
 def affine_v(x: Var, w: Var, b: Var | None = None) -> Var:
     """Affine map along the hidden (last) axis: x @ w + b."""
     y = ad.matmul(x, w)
@@ -65,10 +40,6 @@ def affine_v(x: Var, w: Var, b: Var | None = None) -> Var:
 def layer_norm_v(x: Var, gamma: Var, beta: Var, eps: float = 1e-5) -> Var:
     """Layer normalization along the last axis with learned scale and shift."""
     return ad.layer_norm_last(x, gamma, beta, eps)
-
-
-def gelu_v(x: Var) -> Var:
-    return ad.gelu(x)
 
 
 def feature_map_v(x: Var, spec: FeatureMapSpec, omega: np.ndarray | None = None) -> Var:

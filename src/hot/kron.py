@@ -1,4 +1,4 @@
-"""Kronecker products, factored application, and Kronecker-rank decomposition.
+"""Kronecker products and Kronecker-rank decomposition.
 
 A square matrix ``S`` acting on a flattened index grid ``N_0 x ... x N_{k-1}``
 can be approximated as a sum of Kronecker products of small per-mode factors,
@@ -7,7 +7,8 @@ can be approximated as a sum of Kronecker products of small per-mode factors,
 
 and such a sum applied to a tensor without ever materializing ``S``:
 multiplying by one Kronecker term is the chain of per-mode products
-``(...((V x_0 S^(0)) x_1 S^(1)) ... x_{k-1} S^(k-1))``.
+``(...((V x_0 S^(0)) x_1 S^(1)) ... x_{k-1} S^(k-1))``, which is how
+:mod:`hot.attention` applies its per-mode attention matrices.
 
 Finding the best sum of a given length reduces, after a fixed entry
 rearrangement (:func:`vanloan_rearrange`), to low-rank approximation: truncated
@@ -24,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor import as_tensor, matricize, mode_product
+from .tensor import matricize
 
 ALS_MAX_SWEEPS = 200
 ALS_TOL = 1e-10
@@ -83,19 +84,6 @@ class KronSum:
         return len(self.terms)
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of two matrices.
-
-    ``out[ia*rows(b)+ib, ja*cols(b)+jb] = a[ia, ja] * b[ib, jb]``; the first
-    operand's indices vary slowest.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError("kron expects matrices")
-    return np.kron(a, b)
-
-
 def kron_chain(mats) -> np.ndarray:
     """Kronecker product of a sequence of matrices, left to right."""
     mats = list(mats)
@@ -116,25 +104,6 @@ def materialize(ks: KronSum | KronFactors) -> np.ndarray:
     out = np.zeros((ks.terms[0].side, ks.terms[0].side))
     for term in ks.terms:
         out += kron_chain(term.factors)
-    return out
-
-
-def apply_factors(v: np.ndarray, kf: KronFactors) -> np.ndarray:
-    """Apply one Kronecker term to an order-(k+1) tensor via mode products.
-
-    Computes ``(...((v x_0 S^(0)) x_1 S^(1)) ... x_{k-1} S^(k-1))`` without
-    forming the full Kronecker matrix.  The last mode of ``v`` (the hidden
-    dimension) is untouched.
-    """
-    v = as_tensor(v)
-    k = len(kf.factors)
-    if v.ndim != k + 1:
-        raise ValueError(f"value tensor must have order {k + 1}, got {v.ndim}")
-    if tuple(v.shape[:k]) != kf.dims:
-        raise ValueError(f"positional dims {v.shape[:k]} do not match factors {kf.dims}")
-    out = v
-    for i, f in enumerate(kf.factors):
-        out = mode_product(out, f, i)
     return out
 
 

@@ -322,7 +322,7 @@ def attention_sublayer_v(x: Var, cfg: HOTBlockConfig, rotary: RotaryConfig,
 
 
 def ffn_v(x: Var, params: dict[str, Var], prefix: str) -> Var:
-    hidden = ops.gelu_v(ops.affine_v(x, params[f"{prefix}.w1"], params[f"{prefix}.b1"]))
+    hidden = ad.gelu(ops.affine_v(x, params[f"{prefix}.w1"], params[f"{prefix}.b1"]))
     return ops.affine_v(hidden, params[f"{prefix}.w2"], params[f"{prefix}.b2"])
 
 

@@ -1,4 +1,4 @@
-"""Dense tensor primitives: matricization, folding, mode products and pooling.
+"""Dense tensor primitives: matricization, mode products and pooling.
 
 Conventions used throughout the package
 ---------------------------------------
@@ -10,7 +10,7 @@ Conventions used throughout the package
   earliest remaining mode varying slowest.  With this ordering the identity
 
       matricize(t ×_0 A_0 ×_1 A_1 ... ×_{k-1} A_{k-1}, k)
-          = matricize(t, k) @ kron(A_0, A_1, ..., A_{k-1}).T
+          = matricize(t, k) @ kron_chain([A_0, A_1, ..., A_{k-1}]).T
 
   holds for an order-(k+1) tensor ``t`` whose last mode is untouched; the
   test suite pins this down.
@@ -90,35 +90,6 @@ def matricize(t: np.ndarray, mode: int) -> np.ndarray:
     """
     _check_mode(t, mode)
     return np.ascontiguousarray(np.moveaxis(t, mode, 0).reshape(t.shape[mode], -1))
-
-
-def fold(m: np.ndarray, mode: int, shape) -> np.ndarray:
-    """Inverse of :func:`matricize`: rebuild a tensor of ``shape`` from ``m``.
-
-    ``fold(matricize(t, mode), mode, t.shape)`` is exactly ``t``.
-
-    Parameters
-    ----------
-    m : numpy.ndarray
-        Matrix of shape ``(shape[mode], prod of the remaining dims)``.
-    mode : int
-        Mode the rows of ``m`` correspond to.
-    shape : sequence of int
-        Target tensor shape.
-
-    Returns
-    -------
-    numpy.ndarray
-        Tensor with the requested shape.
-    """
-    shape = check_shape(shape)
-    if not 0 <= mode < len(shape):
-        raise ValueError(f"mode {mode} out of range for shape {shape}")
-    rest = tuple(d for i, d in enumerate(shape) if i != mode)
-    expected = (shape[mode], math.prod(rest) if rest else 1)
-    if m.ndim != 2 or m.shape != expected:
-        raise ValueError(f"matrix shape {m.shape} does not match fold target {expected}")
-    return np.ascontiguousarray(np.moveaxis(m.reshape((shape[mode],) + rest), 0, mode))
 
 
 def mode_product(t: np.ndarray, a: np.ndarray, mode: int) -> np.ndarray:

@@ -50,14 +50,11 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import rankdata
 
 from . import autodiff as ad
 from .autodiff import Tape
 from .diffops import cross_entropy_v, mse_v
 from .model import HOTModel
-
-EPS_SMAPE = 1e-8
 
 
 class NonFiniteGradientError(RuntimeError):
@@ -121,12 +118,6 @@ def mae(pred: np.ndarray, target: np.ndarray) -> float:
     return float(np.mean(np.abs(pred - target)))
 
 
-def smape(pred: np.ndarray, target: np.ndarray) -> float:
-    """Symmetric mean absolute percentage error, mean of 2|p-t|/(|p|+|t|+eps)."""
-    _check_pair(pred, target)
-    return float(np.mean(2.0 * np.abs(pred - target) / (np.abs(pred) + np.abs(target) + EPS_SMAPE)))
-
-
 def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
     """Mean negative log-likelihood of integer labels under row logits."""
     logits = np.asarray(logits, dtype=np.float64)
@@ -147,36 +138,6 @@ def accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
     if logits.shape[0] == 0:
         raise ValueError("empty inputs")
     return float(np.mean(logits.argmax(axis=1) == np.asarray(labels)))
-
-
-def auc(scores: np.ndarray, labels: np.ndarray) -> float:
-    """Area under the ROC curve via the rank statistic, ties averaged."""
-    scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(labels)
-    if scores.size == 0:
-        raise ValueError("empty inputs")
-    pos = labels == 1
-    n_pos = int(pos.sum())
-    n_neg = int(scores.size - n_pos)
-    if n_pos == 0 or n_neg == 0:
-        raise ValueError("auc needs both classes present")
-    ranks = rankdata(scores)
-    return float((ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
-
-
-def macro_auc(probs: np.ndarray, labels: np.ndarray) -> float:
-    """One-vs-rest AUC averaged over classes (skipping absent classes)."""
-    probs = np.asarray(probs, dtype=np.float64)
-    labels = np.asarray(labels)
-    vals = []
-    for c in range(probs.shape[1]):
-        binary = (labels == c).astype(int)
-        if binary.min() == binary.max():
-            continue
-        vals.append(auc(probs[:, c], binary))
-    if not vals:
-        raise ValueError("no class with both positives and negatives")
-    return float(np.mean(vals))
 
 
 def _check_pair(pred, target):
@@ -483,7 +444,7 @@ def train_linear_readout(data: Dataset, steps: int, batch_size: int = 32,
         tape = Tape()
         w = tape.var(params["w"])
         b = tape.var(params["b"])
-        pred = ad.add(ad.einsum("ni,io->no", ad.constant(flat_x[idx]), w), b)
+        pred = ad.add(ad.matmul(ad.constant(flat_x[idx]), w), b)
         loss = mse_v(pred, flat_y[idx])
         tape.backward(loss)
         params = adam_step(state, {"w": w.grad, "b": b.grad}, params)

@@ -20,6 +20,7 @@ from hot.attention import (
     full_attention_linear,
     full_high_order_attention,
     kernelized_mode_apply,
+    materialized_attention,
     mode_attention_matrix,
     OracleSizeError,
     random_attention_weights,
@@ -27,6 +28,7 @@ from hot.attention import (
     standard_attention,
 )
 from hot.features import FeatureMapSpec, feature_map, projection_matrix
+from hot.kron import kron_chain
 from hot.tensor import mode_product, pool_sum_except
 
 
@@ -169,23 +171,6 @@ class TestFullHighOrderAttention:
         full_high_order_attention(x_small, w, oracle_cap=9)
 
 
-def materialized_factorized_reference(x, w, pooling="sum"):
-    """Oracle: apply explicitly materialized Kronecker attention per head."""
-    k = x.ndim - 1
-    tokens = math.prod(x.shape[:-1])
-    out = np.zeros_like(x)
-    for h in range(w.heads):
-        q = x @ w.wq[h]
-        kt = x @ w.wk[h]
-        v = x @ w.wv[h]
-        s = np.eye(1)
-        for i in range(k):
-            s = np.kron(s, mode_attention_matrix(q, kt, i, pooling=pooling))
-        vm = v.reshape(tokens, w.d_head)
-        out += (s @ vm).reshape(v.shape) @ w.wo[h]
-    return out
-
-
 class TestFactorizedSoftmax:
     def test_reduces_to_standard_at_one_mode(self):
         rng = np.random.default_rng(11)
@@ -197,7 +182,7 @@ class TestFactorizedSoftmax:
         rng = np.random.default_rng(12)
         w = random_attention_weights(4, 2, seed=8)
         x = rng.standard_normal((2, 3, 4))
-        ref = materialized_factorized_reference(x, w)
+        ref = materialized_attention(x, w)
         assert np.abs(factorized_attention_softmax(x, w) - ref).max() <= 1e-10
 
     def test_matches_materialized_on_small_grid_sweep(self):
@@ -208,7 +193,7 @@ class TestFactorizedSoftmax:
             for heads in (1, 2):
                 w = random_attention_weights(4, heads, seed=9)
                 x = rng.standard_normal(dims + (4,))
-                ref = materialized_factorized_reference(x, w)
+                ref = materialized_attention(x, w)
                 out = factorized_attention_softmax(x, w)
                 assert np.abs(out - ref).max() <= 1e-10, (dims, heads)
 
@@ -218,7 +203,7 @@ class TestFactorizedSoftmax:
         x = rng.standard_normal((3, 4, 4))
         q = x @ w.wq[0]
         kt = x @ w.wk[0]
-        s = np.kron(mode_attention_matrix(q, kt, 0), mode_attention_matrix(q, kt, 1))
+        s = kron_chain(mode_attention_matrix(q, kt, i) for i in range(2))
         assert np.abs(s.sum(axis=1) - 1.0).max() <= 1e-10
 
     def test_permutation_equivariance(self):
@@ -431,3 +416,8 @@ class TestWeights:
     def test_parameter_shapes(self):
         w = random_attention_weights(8, 4, seed=20)
         assert w.heads == 4 and w.d_model == 8 and w.d_head == 2
+
+
+class TestExports:
+    def test_every_exported_name_resolves(self):
+        assert [name for name in hot.__all__ if not hasattr(hot, name)] == []

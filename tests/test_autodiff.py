@@ -70,16 +70,14 @@ class TestPrimitives:
         (ad.reshape, {"shape": (12,)}),
         (ad.transpose, {"axes": (1, 0)}),
         (ad.scale, {"c": -2.5}),
-        (ad.shift, {"c": 1.5}),
     ])
     def test_unary_against_numeric(self, op, kw):
         rng = np.random.default_rng(2)
         check_unary(op, rng.standard_normal((3, 4)), **kw)
 
-    def test_log_power(self):
+    def test_power(self):
         rng = np.random.default_rng(3)
         x0 = rng.uniform(0.5, 2.0, size=(3, 4))
-        check_unary(ad.log, x0)
         check_unary(ad.power, x0, p=-0.5)
 
     def test_clip_min_passes_above_floor(self):
@@ -151,27 +149,6 @@ class TestMatmul:
         assert np.allclose(w.grad, np.tile(x0.reshape(6, 4).sum(axis=0)[:, None], (1, 5)), atol=1e-12)
 
 
-class TestEinsum:
-    def test_contraction_gradients(self):
-        rng = np.random.default_rng(8)
-        a0 = rng.standard_normal((3, 4))
-        b0 = rng.standard_normal((4, 5))
-        tape = Tape()
-        a = tape.var(a0)
-        b = tape.var(b0)
-        tape.backward(ad.sum_axes(ad.einsum("ij,jk->ik", a, b)))
-        assert np.allclose(a.grad, np.tile(b0.sum(axis=1), (3, 1)), atol=1e-12)
-        assert np.allclose(b.grad, np.tile(a0.sum(axis=0)[:, None], (1, 5)), atol=1e-12)
-
-    def test_repeated_operand(self):
-        rng = np.random.default_rng(9)
-        x0 = rng.standard_normal(5)
-        tape = Tape()
-        x = tape.var(x0)
-        tape.backward(ad.einsum("i,i->", x, x))
-        assert np.allclose(x.grad, 2 * x0, atol=1e-12)
-
-
 class TestSoftmaxJacobian:
     def test_action_matches_analytic_on_123(self):
         # J = diag(p) - p p^T acting on an arbitrary upstream gradient
@@ -189,15 +166,6 @@ class TestSoftmaxJacobian:
 
 
 class TestTape:
-    def test_mode_product_of_identity_sums_to_ones(self):
-        rng = np.random.default_rng(11)
-        t0 = rng.standard_normal((3, 4))
-        tape = Tape()
-        t = tape.var(t0)
-        out = ops.mode_product_v(t, ad.constant(np.eye(4)), 1)
-        tape.backward(ad.sum_axes(out))
-        assert np.array_equal(t.grad, np.ones_like(t0))
-
     def test_tape_reuse_raises(self):
         tape = Tape()
         x = tape.var(np.array(2.0))
@@ -263,16 +231,6 @@ class TestGradOwnership:
 
 
 class TestDiffOps:
-    def test_matricize_fold_round_trip_gradient(self):
-        rng = np.random.default_rng(12)
-        t0 = rng.standard_normal((2, 3, 4))
-        tape = Tape()
-        t = tape.var(t0)
-        out = ops.fold_v(ops.matricize_v(t, 1), 1, (2, 3, 4))
-        assert np.array_equal(out.value, t0)
-        tape.backward(ad.sum_axes(ad.mul(out, ad.constant(t0))))
-        assert np.allclose(t.grad, t0, atol=0)
-
     def test_batched_mode_apply_matches_loop(self):
         rng = np.random.default_rng(13)
         t0 = rng.standard_normal((2, 3, 4, 5))

@@ -48,6 +48,33 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config("equiv", str(cfg), {})
 
+    def test_value_types_follow_defaults(self, tmp_path):
+        cfg = tmp_path / "train.json"
+        # an integer is a number, and the unset mask may be given as a list
+        cfg.write_text(json.dumps({"lr": 1, "mask": [True, False]}))
+        assert load_config("train", str(cfg), {})["mask"] == [True, False]
+        for bad in ({"steps": 2.5}, {"checkpoint": 1}, {"heads": None}, {"rotary_modes": 0}):
+            cfg.write_text(json.dumps(bad))
+            with pytest.raises(ConfigError, match=next(iter(bad))):
+                load_config("train", str(cfg), {})
+
+    @pytest.mark.parametrize("bad", [
+        {"steps": "many"},
+        {"d_model": 30, "heads": 4},
+        {"task": "cross-mode-voxel-classify", "volume": [9, 8, 8]},
+    ], ids=["steps-not-integer", "heads-not-dividing-d_model", "volume-not-patchable"])
+    def test_malformed_train_config_exits_2(self, tmp_path, capsys, bad):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(bad))
+        assert run_cli(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "config error:" in capsys.readouterr().err
+
+    def test_malformed_ablate_config_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({"n_train": 8, "n_val": 4, "seeds": [0], "d_model": 30}))
+        assert run_cli(["ablate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "config error:" in capsys.readouterr().err
+
 
 @pytest.fixture
 def small_equiv_config(tmp_path):
@@ -146,7 +173,7 @@ class TestGradcheckCommand:
         assert run_cli(["gradcheck", "--config", str(cfg), "--out", str(out)]) == 0
         lines = (out / "gradcheck.csv").read_text().splitlines()
         cases = {line.split(",")[0] for line in lines[1:]}
-        for expected in ("mode_product", "softmax_rows", "kernelized_mode_apply",
+        for expected in ("pooling", "softmax_rows", "kernelized_mode_apply",
                          "kernelized_mode_apply_key_first", "batched_mode_apply_first_axis",
                          "batched_mode_apply_middle_axis", "batched_mode_apply_last_axis",
                          "layer_norm", "layer_norm_batched", "gelu", "affine",

@@ -15,8 +15,6 @@ from hot.attention import softmax_rows
 from hot.kron import (
     KronFactors,
     KronSum,
-    apply_factors,
-    kron,
     kron_chain,
     kron_decompose,
     kron_rank_bound,
@@ -24,7 +22,6 @@ from hot.kron import (
     reconstruction_error,
     vanloan_rearrange,
 )
-from hot.tensor import matricize
 
 
 def kron_by_expansion(a, b):
@@ -35,31 +32,6 @@ def kron_by_expansion(a, b):
     for ia, ja, ib, jb in itertools.product(range(ma), range(na), range(mb), range(nb)):
         out[ia * mb + ib, ja * nb + jb] = a[ia, ja] * b[ib, jb]
     return out
-
-
-class TestKron:
-    def test_identity_times_identity(self):
-        assert np.array_equal(kron(np.eye(2), np.eye(2)), np.eye(4))
-
-    def test_swap_times_identity(self):
-        swap = np.array([[0.0, 1.0], [1.0, 0.0]])
-        expected = np.zeros((4, 4))
-        expected[0:2, 2:4] = np.eye(2)
-        expected[2:4, 0:2] = np.eye(2)
-        assert np.array_equal(kron(swap, np.eye(2)), expected)
-
-    def test_matches_expansion(self):
-        rng = np.random.default_rng(0)
-        a = rng.standard_normal((2, 3))
-        b = rng.standard_normal((3, 2))
-        assert np.allclose(kron(a, b), kron_by_expansion(a, b), atol=0)
-
-    def test_row_stochastic_closure(self):
-        rng = np.random.default_rng(1)
-        a = softmax_rows(rng.standard_normal((3, 3)))
-        b = softmax_rows(rng.standard_normal((4, 4)))
-        rows = kron(a, b).sum(axis=1)
-        assert np.abs(rows - 1.0).max() <= 1e-12
 
 
 class TestMaterialize:
@@ -85,49 +57,6 @@ class TestMaterialize:
             KronSum((KronFactors((np.eye(2),)), KronFactors((np.eye(3),))))
 
 
-class TestApplyFactors:
-    def test_identity_factors(self):
-        rng = np.random.default_rng(4)
-        v = rng.standard_normal((2, 3, 4))
-        f = KronFactors((np.eye(2), np.eye(3)))
-        assert np.allclose(apply_factors(v, f), v, atol=0)
-
-    def test_materialized_oracle(self):
-        rng = np.random.default_rng(5)
-        v = rng.standard_normal((2, 3, 4))
-        f = KronFactors((rng.standard_normal((2, 2)), rng.standard_normal((3, 3))))
-        lhs = matricize(apply_factors(v, f), 2).T
-        rhs = materialize(f) @ matricize(v, 2).T
-        assert np.abs(lhs - rhs).max() <= 1e-10
-
-    def test_exhaustive_small_shapes(self):
-        # every positional grid with at most 64 cells drawn from small dims
-        rng = np.random.default_rng(6)
-        shapes = [(n,) for n in (1, 2, 5, 8)]
-        shapes += [(a, b) for a in (1, 2, 3, 4, 8) for b in (1, 2, 3, 8) if a * b <= 64]
-        shapes += [(a, b, c) for a in (1, 2, 3) for b in (2, 3) for c in (2, 4) if a * b * c <= 64]
-        for dims in shapes:
-            v = rng.standard_normal(dims + (3,))
-            f = KronFactors(tuple(rng.standard_normal((n, n)) for n in dims))
-            lhs = matricize(apply_factors(v, f), len(dims)).T
-            rhs = materialize(f) @ matricize(v, len(dims)).T
-            assert np.abs(lhs - rhs).max() <= 1e-10, dims
-
-    def test_mode_order_is_irrelevant(self):
-        rng = np.random.default_rng(7)
-        v = rng.standard_normal((3, 4, 2))
-        a = rng.standard_normal((3, 3))
-        b = rng.standard_normal((4, 4))
-        forward = apply_factors(v, KronFactors((a, b)))
-        from hot.tensor import mode_product
-
-        reversed_order = mode_product(mode_product(v, b, 1), a, 0)
-        assert np.abs(forward - reversed_order).max() <= 1e-12
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            apply_factors(np.zeros((2, 3, 4)), KronFactors((np.eye(3), np.eye(3))))
-
 
 class TestVanLoanRearrange:
     def test_k1_is_flatten(self):
@@ -141,7 +70,7 @@ class TestVanLoanRearrange:
         rng = np.random.default_rng(9)
         a = rng.standard_normal((2, 2))
         b = rng.standard_normal((2, 2))
-        r = vanloan_rearrange(kron(a, b), (2, 2))
+        r = vanloan_rearrange(kron_chain([a, b]), (2, 2))
         sv = np.linalg.svd(r, compute_uv=False)
         assert sv[0] > 1e-6
         assert np.all(sv[1:] <= 1e-10 * sv[0])
@@ -163,7 +92,7 @@ class TestVanLoanRearrange:
 class TestKronDecompose:
     def test_planted_single_term_recovered_at_rank_one(self):
         rng = np.random.default_rng(11)
-        s = kron(rng.standard_normal((3, 3)), rng.standard_normal((4, 4)))
+        s = kron_chain([rng.standard_normal((3, 3)), rng.standard_normal((4, 4))])
         ks = kron_decompose(s, (3, 4), 1)
         assert reconstruction_error(ks, s) <= 1e-10
         assert ks.residual <= 1e-10
@@ -198,7 +127,7 @@ class TestKronDecompose:
             a = rng.standard_normal((n0, n0))
             b = rng.standard_normal((n1, n1))
             ranks = []
-            for m in (a, b, kron(a, b)):
+            for m in (a, b, kron_chain([a, b])):
                 sv = np.linalg.svd(m, compute_uv=False)
                 ranks.append(int(np.sum(sv > 1e-9 * sv[0])))
             assert ranks[2] == ranks[0] * ranks[1]

@@ -7,6 +7,14 @@ import numpy as np
 import pytest
 
 from hot import autodiff as ad
+from hot.attention import (
+    factorized_attention_linear,
+    factorized_attention_softmax,
+    full_attention_linear,
+    full_high_order_attention,
+    materialized_attention,
+    random_attention_weights,
+)
 from hot.autodiff import Tape
 from hot.features import FeatureMapSpec
 from hot.io import write_tensor
@@ -18,6 +26,7 @@ from hot.model import (
     PatchEmbedConfig,
     RotaryConfig,
     VARIANTS,
+    attention_sublayer_v,
     patchify,
     rotary_encode,
     rotary_tables,
@@ -159,7 +168,7 @@ class TestBlock:
         out = model.predict(x)
 
         # independent reference: attention reduces to sum_h x @ wv_h @ wo_h
-        from hot.diffops import affine_v, gelu_v, layer_norm_v
+        from hot.diffops import affine_v, layer_norm_v
 
         p = model.params
         tokens = ad.constant(patchify(x, (1, 1)))
@@ -167,7 +176,7 @@ class TestBlock:
         attn = sum(h @ p[f"block0.attn.h{i}.wv"] @ p[f"block0.attn.h{i}.wo"] for i in range(2))
         y1 = layer_norm_v(ad.constant(h + attn), ad.constant(p["block0.ln1.gamma"]),
                           ad.constant(p["block0.ln1.beta"])).value
-        ffn = gelu_v(ad.constant(y1 @ p["block0.ffn.w1"] + p["block0.ffn.b1"])).value
+        ffn = ad.gelu(ad.constant(y1 @ p["block0.ffn.w1"] + p["block0.ffn.b1"])).value
         ffn = ffn @ p["block0.ffn.w2"] + p["block0.ffn.b2"]
         y2 = layer_norm_v(ad.constant(y1 + ffn), ad.constant(p["block0.ln2.gamma"]),
                           ad.constant(p["block0.ln2.beta"])).value
@@ -187,6 +196,56 @@ class TestBlock:
         model = HOTModel.initialize(cfg, seed=3)
         out = model.predict(np.random.default_rng(8).standard_normal((1, 4, 5)))
         assert out.shape == (1, 3, 2)
+
+
+def sublayer_at_batch_one(x, w, variant, spec=None, mask=(), pooling="sum"):
+    """``attention_sublayer_v`` on one input, with constant weights and no rotary."""
+    cfg = HOTBlockConfig(dims=x.shape[:-1], d_model=w.d_model, heads=w.heads, variant=variant,
+                         mode_mask=mask, feature_spec=spec, pooling=pooling)
+    params = {f"attn.h{h}.{name}": ad.constant(getattr(w, name)[h])
+              for h in range(w.heads) for name in ("wq", "wk", "wv", "wo")}
+    return attention_sublayer_v(ad.constant(x[None]), cfg, RotaryConfig(), params, "attn").value[0]
+
+
+SUBLAYER_DIMS = [(6,), (2, 3), (3, 4, 5), (2, 2, 2, 2)]
+
+
+class TestSublayerMatchesAttentionFunctions:
+    """The model's batched sublayer at B = 1 computes each ``hot.attention`` variant."""
+
+    @pytest.mark.parametrize("heads", [1, 2])
+    @pytest.mark.parametrize("dims", SUBLAYER_DIMS, ids=str)
+    @pytest.mark.parametrize("variant,subset,pooling", [
+        ("full-softmax", False, "sum"),
+        ("full-linear", False, "sum"),
+        *[(v, subset, pooling) for v in ("factored-softmax", "factored-linear")
+          for subset in (False, True) for pooling in ("sum", "mean")],
+    ])
+    def test_variant(self, variant, subset, pooling, dims, heads):
+        rng = np.random.default_rng(31)
+        x = rng.standard_normal(dims + (8,))
+        w = random_attention_weights(8, heads, seed=32)
+        spec = FeatureMapSpec(16, w.d_head, seed=33) if "linear" in variant else None
+        mask = tuple(i % 2 == 1 for i in range(len(dims))) if subset else ()
+        modes = [i for i, on in enumerate(mask) if on] if subset else None
+        ref = {
+            "full-softmax": lambda: full_high_order_attention(x, w),
+            "full-linear": lambda: full_attention_linear(x, w, spec),
+            "factored-softmax": lambda: factorized_attention_softmax(x, w, modes, pooling),
+            "factored-linear": lambda: factorized_attention_linear(x, w, spec, modes, pooling),
+        }[variant]()
+        out = sublayer_at_batch_one(x, w, variant, spec, mask, pooling)
+        assert np.abs(out - ref).max() <= 1e-12
+
+    @pytest.mark.parametrize("pooling", ["sum", "mean"])
+    @pytest.mark.parametrize("heads", [1, 2])
+    @pytest.mark.parametrize("dims", SUBLAYER_DIMS, ids=str)
+    def test_factored_softmax_matches_materialized_oracle(self, dims, heads, pooling):
+        rng = np.random.default_rng(34)
+        x = rng.standard_normal(dims + (8,))
+        w = random_attention_weights(8, heads, seed=35)
+        out = sublayer_at_batch_one(x, w, "factored-softmax", pooling=pooling)
+        assert np.abs(out - materialized_attention(x, w, pooling)).max() <= 1e-12
 
 
 class TestModelForward:

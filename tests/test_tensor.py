@@ -8,7 +8,6 @@ import pytest
 
 from hot.tensor import (
     as_tensor,
-    fold,
     matricize,
     mode_product,
     pool_mean_except,
@@ -69,27 +68,6 @@ class TestMatricize:
     def test_mode_out_of_range(self):
         with pytest.raises(ValueError):
             matricize(np.zeros((2, 2)), 2)
-
-
-class TestFold:
-    def test_round_trip_all_modes_up_to_order5(self):
-        rng = np.random.default_rng(1)
-        for shape in [(4,), (2, 3), (2, 3, 4), (2, 3, 2, 2), (2, 2, 3, 1, 2)]:
-            t = rng.standard_normal(shape)
-            for mode in range(len(shape)):
-                assert np.array_equal(fold(matricize(t, mode), mode, shape), t)
-
-    def test_fold_shape(self):
-        m = np.zeros((4, 15))
-        assert fold(m, 1, (3, 4, 5)).shape == (3, 4, 5)
-
-    def test_round_trip_explicit_entries(self):
-        t = np.arange(1.0, 25.0).reshape(2, 3, 4)
-        assert np.array_equal(fold(matricize(t, 0), 0, t.shape), t)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            fold(np.zeros((4, 14)), 1, (3, 4, 5))
 
 
 class TestModeProduct:

@@ -11,14 +11,11 @@ from hot.train import (
     accuracy,
     adam_init,
     adam_step,
-    auc,
     cross_entropy,
     finite_diff_check,
     gen_synthetic,
-    macro_auc,
     mae,
     mse,
-    smape,
     train_linear_readout,
     train_model,
 )
@@ -70,13 +67,12 @@ class TestMetrics:
         assert mse(x, x) == 0.0
         assert mse(x, x + 1e-3) > 0.0
 
-    def test_mae_smape_nonnegative(self):
+    def test_mae_nonnegative(self):
         rng = np.random.default_rng(1)
         p = rng.standard_normal(20)
         t = rng.standard_normal(20)
         assert mae(p, t) >= 0
-        assert smape(p, t) >= 0
-        assert smape(t, t) == 0.0
+        assert mae(t, t) == 0.0
 
     def test_cross_entropy_uniform_logits(self):
         logits = np.zeros((5, 7))
@@ -87,29 +83,6 @@ class TestMetrics:
         with pytest.raises(ValueError):
             cross_entropy(np.zeros((2, 3)), np.array([0, 3]))
 
-    def test_auc_perfect_separation(self):
-        scores = np.array([0.1, 0.2, 0.8, 0.9])
-        labels = np.array([0, 0, 1, 1])
-        assert auc(scores, labels) == 1.0
-
-    def test_auc_monotone_invariance(self):
-        rng = np.random.default_rng(2)
-        scores = rng.standard_normal(50)
-        labels = (rng.random(50) < 0.4).astype(int)
-        base = auc(scores, labels)
-        assert auc(3 * scores + 7, labels) == pytest.approx(base, abs=1e-12)
-        assert auc(np.exp(scores), labels) == pytest.approx(base, abs=1e-12)
-
-    def test_auc_ties_averaged(self):
-        scores = np.array([0.5, 0.5, 0.5, 0.5])
-        labels = np.array([0, 1, 0, 1])
-        assert auc(scores, labels) == pytest.approx(0.5)
-
-    def test_macro_auc_multiclass(self):
-        probs = np.array([[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.1, 0.1, 0.8]])
-        labels = np.array([0, 1, 2])
-        assert macro_auc(probs, labels) == 1.0
-
     def test_accuracy(self):
         logits = np.array([[2.0, 1.0], [0.0, 3.0]])
         assert accuracy(logits, np.array([0, 1])) == 1.0
@@ -118,8 +91,6 @@ class TestMetrics:
     def test_empty_inputs_rejected(self):
         with pytest.raises(ValueError):
             mse(np.zeros(0), np.zeros(0))
-        with pytest.raises(ValueError):
-            auc(np.zeros(0), np.zeros(0, dtype=int))
 
 
 class TestFiniteDiff:
