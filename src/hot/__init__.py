@@ -1,20 +1,19 @@
-"""Kronecker-factorized high-order attention: tensor algebra, attention
-variants with exact oracles, reverse-mode gradients, and benchmark tooling."""
+"""Kronecker-factorized high-order attention: tensor algebra, exact attention
+oracles, random features, reverse-mode gradients, and benchmark tooling.
+
+The attention variants that train and predict are the model's sublayer,
+:func:`hot.model.attention_sublayer_v`."""
 
 from .attention import (
     AttentionWeights,
-    factorized_attention_linear,
-    factorized_attention_softmax,
-    full_attention_linear,
     full_high_order_attention,
-    kernelized_mode_apply,
     materialized_attention,
     mode_attention_matrix,
     random_attention_weights,
     softmax_rows,
     standard_attention,
 )
-from .features import FeatureMapSpec, feature_map, projection_matrix
+from .features import FeatureMapSpec, projection_matrix
 from .io import read_tensor, write_tensor
 from .kron import (
     KronFactors,
@@ -32,12 +31,7 @@ __all__ = [
     "FeatureMapSpec",
     "KronFactors",
     "KronSum",
-    "factorized_attention_linear",
-    "factorized_attention_softmax",
-    "feature_map",
-    "full_attention_linear",
     "full_high_order_attention",
-    "kernelized_mode_apply",
     "kron_decompose",
     "kron_rank_bound",
     "materialize",

@@ -16,6 +16,7 @@ CSV dialect: comma separated, header row, UTF-8, LF line endings, floats with
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -28,9 +29,6 @@ import numpy as np
 from . import autodiff as ad
 from . import diffops as ops
 from .attention import (
-    factorized_attention_linear,
-    factorized_attention_softmax,
-    full_attention_linear,
     full_high_order_attention,
     materialized_attention,
     mode_attention_matrix,
@@ -42,6 +40,7 @@ from .autodiff import Tape
 from .features import FeatureMapSpec, projection_matrix
 from .kron import kron_chain, kron_decompose, kron_rank_bound, reconstruction_error
 from .model import (
+    VARIANTS,
     HeadConfig,
     HOTBlockConfig,
     HOTModel,
@@ -49,6 +48,7 @@ from .model import (
     PatchEmbedConfig,
     RotaryConfig,
     _rotary_v,
+    attention_sublayer,
 )
 from .train import (
     SyntheticTaskSpec,
@@ -114,7 +114,6 @@ DEFAULTS = {
         "reps": 5,
         "warmups": 2,
         "seed": 0,
-        "oracle_cap": 4096,
         "slope_windows": {"factored-linear": [0.8, 1.3], "full-softmax": [1.7, 2.3]},
         "memory_ratio": 1.3,
         "track_memory": True,
@@ -217,11 +216,23 @@ def fmt(x) -> str:
     return str(x)
 
 
+def _shape_str(dims) -> str:
+    """Comma-free shape label for CSV rows, e.g. (16, 16) -> '16x16'."""
+    return "x".join(str(int(d)) for d in dims)
+
+
 def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(fmt(v) for v in row))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+
+
+def _weights(d_model: int, heads: int, seed: int):
+    try:
+        return random_attention_weights(d_model, heads, seed=seed)
+    except ValueError as e:
+        raise ConfigError(f"model: {e}") from e
 
 
 class Report:
@@ -258,22 +269,21 @@ def cmd_equiv(config: dict, out_dir: Path) -> int:
     report = Report("equiv", out_dir)
     tol = float(config["tolerance"])
     red_tol = float(config["reduction_tolerance"])
+    d_model = int(config["d_model"])
     rows = []
     worst = 0.0
     for shape in config["shapes"]:
         shape = tuple(shape)
+        label = _shape_str(shape)
         for heads in config["heads"]:
-            d_model = int(config["d_model"])
-            if d_model % heads:
-                raise ConfigError(f"d_model {d_model} not divisible by heads {heads}")
             for seed in config["seeds"]:
                 rng = np.random.default_rng(seed)
                 x = rng.standard_normal(shape + (d_model,))
-                w = random_attention_weights(d_model, heads, seed=seed + 1000)
-                out = factorized_attention_softmax(x, w)
+                w = _weights(d_model, heads, seed + 1000)
+                out = attention_sublayer(x, w, "factored-softmax")
                 ref = materialized_attention(x, w)
                 err = float(np.abs(out - ref).max())
-                rows.append(["factored-vs-materialized", str(shape), heads, seed, err, tol,
+                rows.append(["factored-vs-materialized", label, heads, seed, err, tol,
                              "PASS" if err <= tol else "FAIL"])
                 worst = max(worst, err)
 
@@ -282,39 +292,36 @@ def cmd_equiv(config: dict, out_dir: Path) -> int:
                 kt = x @ w.wk[0]
                 s = kron_chain(mode_attention_matrix(q, kt, i) for i in range(len(shape)))
                 row_err = float(np.abs(s.sum(axis=1) - 1.0).max())
-                rows.append(["row-stochastic", str(shape), heads, seed, row_err, tol,
+                rows.append(["row-stochastic", label, heads, seed, row_err, tol,
                              "PASS" if row_err <= tol else "FAIL"])
 
                 # permutation equivariance along the first mode
                 perm = rng.permutation(shape[0])
-                a = factorized_attention_softmax(x[perm], w)
-                b = factorized_attention_softmax(x, w)[perm]
-                perm_err = float(np.abs(a - b).max())
-                rows.append(["permutation-equivariance", str(shape), heads, seed, perm_err, tol,
+                perm_err = float(np.abs(attention_sublayer(x[perm], w, "factored-softmax")
+                                        - out[perm]).max())
+                rows.append(["permutation-equivariance", label, heads, seed, perm_err, tol,
                              "PASS" if perm_err <= tol else "FAIL"])
                 worst = max(worst, perm_err, row_err)
 
     # one-mode reductions collapse to standard attention
     for seed in config["seeds"]:
         rng = np.random.default_rng(seed)
-        d_model = int(config["d_model"])
         x = rng.standard_normal((7, d_model))
         for heads in config["heads"]:
-            w = random_attention_weights(d_model, heads, seed=seed + 2000)
+            w = _weights(d_model, heads, seed + 2000)
             ref = standard_attention(x, w)
-            spec = FeatureMapSpec(int(config["feature_count"]), d_model // heads, seed=seed)
+            spec = FeatureMapSpec(int(config["feature_count"]), w.d_head, seed=seed)
             for name, out in (
-                ("reduction-factored-softmax", factorized_attention_softmax(x, w)),
+                ("reduction-factored-softmax", attention_sublayer(x, w, "factored-softmax")),
                 ("reduction-full-softmax",
                  full_high_order_attention(x, w, oracle_cap=int(config["oracle_cap"]))),
             ):
                 err = float(np.abs(out - ref).max())
-                rows.append([name, "(7,)", heads, seed, err, red_tol,
+                rows.append([name, "7", heads, seed, err, red_tol,
                              "PASS" if err <= red_tol else "FAIL"])
-            lin_err = float(np.abs(
-                factorized_attention_linear(x, w, spec) - full_attention_linear(x, w, spec)
-            ).max())
-            rows.append(["reduction-linear-grid", "(7,)", heads, seed, lin_err, red_tol,
+            lin_err = float(np.abs(attention_sublayer(x, w, "factored-linear", spec)
+                                   - attention_sublayer(x, w, "full-linear", spec)).max())
+            rows.append(["reduction-linear-grid", "7", heads, seed, lin_err, red_tol,
                          "PASS" if lin_err <= red_tol else "FAIL"])
 
     # softmax score shift invariance
@@ -322,7 +329,7 @@ def cmd_equiv(config: dict, out_dir: Path) -> int:
         rng = np.random.default_rng(seed)
         logits = rng.standard_normal((6, 6))
         err = float(np.abs(softmax_rows(logits) - softmax_rows(logits + 11.0)).max())
-        rows.append(["softmax-shift-invariance", "(6,6)", 1, seed, err, red_tol,
+        rows.append(["softmax-shift-invariance", "6x6", 1, seed, err, red_tol,
                      "PASS" if err <= red_tol else "FAIL"])
 
     write_csv(out_dir / "equiv.csv",
@@ -355,16 +362,16 @@ def _op_cases(config):
         ("softmax_rows",
          lambda v: _loss_of(ad.softmax_last(v["m"])),
          {"m": rng.standard_normal((5, 6))}),
-        ("feature_map",
+        ("feature_map_v",
          lambda v: _loss_of(ops.feature_map_v(v["m"], spec, omega)),
          {"m": rng.standard_normal((5, 4)) * 0.5}),
-        ("kernelized_mode_apply",
+        ("kernelized_mode_apply_v",
          lambda v: _loss_of(ops.kernelized_mode_apply_v(v["v"], v["qt"], v["kt"], 1, spec, omega)),
          {"v": rng.standard_normal((2, 3, 4, 4)),
           "qt": rng.standard_normal((2, 3, 4)) * 0.5,
           "kt": rng.standard_normal((2, 3, 4)) * 0.5}),
         # N = 10 > M = feature_count (8): phi(kt)^T contracts first
-        ("kernelized_mode_apply_key_first",
+        ("kernelized_mode_apply_v_key_first",
          lambda v: _loss_of(ops.kernelized_mode_apply_v(v["v"], v["qt"], v["kt"], 1, spec, omega)),
          {"v": rng.standard_normal((2, 10, 3, 2)),
           "qt": rng.standard_normal((2, 10, 4)) * 0.5,
@@ -528,7 +535,7 @@ def cmd_kronrank(config: dict, out_dir: Path) -> int:
                 for rank in range(1, bound + 1):
                     err = reconstruction_error(kron_decompose(s, dims, rank), s)
                     errs.append(err)
-                    rows.append([kind, str(dims), seed, rank, err])
+                    rows.append([kind, _shape_str(dims), seed, rank, err])
                 report.check(f"{kind} dims={dims} seed={seed} exact at R={bound}",
                              errs[-1] <= exact_tol, errs[-1], exact_tol)
                 monotone = all(lo <= hi + 1e-12 for lo, hi in zip(errs[1:], errs[:-1]))
@@ -536,7 +543,7 @@ def cmd_kronrank(config: dict, out_dir: Path) -> int:
 
             planted = kron_chain([rng.standard_normal((d, d)) for d in dims])
             err = reconstruction_error(kron_decompose(planted, dims, 1), planted)
-            rows.append(["planted-single-term", str(dims), seed, 1, err])
+            rows.append(["planted-single-term", _shape_str(dims), seed, 1, err])
             report.check(f"planted dims={dims} seed={seed} exact at R=1",
                          err <= planted_tol, err, planted_tol)
 
@@ -548,18 +555,6 @@ def cmd_kronrank(config: dict, out_dir: Path) -> int:
 # bench
 
 
-def _bench_forward(variant, x, w, spec, oracle_cap):
-    if variant == "factored-softmax":
-        return factorized_attention_softmax(x, w)
-    if variant == "factored-linear":
-        return factorized_attention_linear(x, w, spec)
-    if variant == "full-softmax":
-        return full_high_order_attention(x, w, oracle_cap=oracle_cap)
-    if variant == "full-linear":
-        return full_attention_linear(x, w, spec)
-    raise ConfigError(f"unknown variant {variant!r}")
-
-
 def _fit_slope(tokens, values):
     logt = np.log(np.asarray(tokens, dtype=np.float64))
     logv = np.log(np.asarray(values, dtype=np.float64))
@@ -568,48 +563,53 @@ def _fit_slope(tokens, values):
 
 
 def cmd_bench(config: dict, out_dir: Path) -> int:
+    """Time :func:`hot.model.attention_sublayer` over each variant's token grids.
+
+    Reps run round-robin over a variant's grids, each timed call just after
+    one untimed call on the same grid, so a stall that spans a few consecutive
+    calls lands on single reps of several grids and the per-grid median
+    rejects it, and no grid is timed with caches left cold by another.
+    """
     report = Report("bench", out_dir)
     d_model = int(config["d_model"])
-    heads = int(config["heads"])
     reps = max(3, int(config["reps"]))
     warmups = int(config["warmups"])
     seed = int(config["seed"])
-    cap = int(config["oracle_cap"])
+    w = _weights(d_model, int(config["heads"]), seed + 1)
+    spec = FeatureMapSpec(int(config["feature_count"]), w.d_head, seed=seed)
     rows = []
     sample_rows = []
     slopes = {}
     memories = {}
     for variant in config["variants"]:
-        grid = config["grids"][variant]
-        token_counts = []
-        medians = []
-        peaks = []
-        for dims in grid:
-            dims = tuple(int(d) for d in dims)
-            tokens = math.prod(dims)
-            rng = np.random.default_rng(seed)
-            x = rng.standard_normal(dims + (d_model,))
-            w = random_attention_weights(d_model, heads, seed=seed + 1)
-            spec = FeatureMapSpec(int(config["feature_count"]), d_model // heads, seed=seed)
-            run_cap = max(cap, tokens) if variant == "full-softmax" else cap
+        if variant not in VARIANTS:
+            raise ConfigError(f"unknown variant {variant!r}")
+        grid = [tuple(int(d) for d in dims) for dims in config["grids"][variant]]
+        inputs = [np.random.default_rng(seed).standard_normal(dims + (d_model,)) for dims in grid]
+        run = functools.partial(attention_sublayer, w=w, variant=variant,
+                                spec=spec if "linear" in variant else None)
+        for x in inputs:
             for _ in range(warmups):
-                _bench_forward(variant, x, w, spec, run_cap)
-            samples = []
-            for rep in range(reps):
+                run(x)
+        samples = [[] for _ in grid]
+        for rep in range(reps):
+            for dims, x, times in zip(grid, inputs, samples):
+                run(x)
                 t0 = time.perf_counter_ns()
-                _bench_forward(variant, x, w, spec, run_cap)
-                samples.append(time.perf_counter_ns() - t0)
-                sample_rows.append([variant, str(dims), tokens, rep, samples[-1]])
-            median_ns = int(np.median(samples))
+                run(x)
+                times.append(time.perf_counter_ns() - t0)
+                sample_rows.append([variant, _shape_str(dims), math.prod(dims), rep, times[-1]])
+        token_counts = [math.prod(dims) for dims in grid]
+        medians = [int(np.median(times)) for times in samples]
+        peaks = []
+        for dims, x, tokens, median_ns in zip(grid, inputs, token_counts, medians):
             peak = 0
             if config["track_memory"]:
                 tracemalloc.start()
-                _bench_forward(variant, x, w, spec, run_cap)
+                run(x)
                 _, peak = tracemalloc.get_traced_memory()
                 tracemalloc.stop()
-            rows.append([variant, str(dims), len(dims), tokens, median_ns, peak, seed])
-            token_counts.append(tokens)
-            medians.append(median_ns)
+            rows.append([variant, _shape_str(dims), len(dims), tokens, median_ns, peak, seed])
             peaks.append(peak)
         slopes[variant] = _fit_slope(token_counts, medians)
         memories[variant] = (token_counts, peaks)
@@ -652,25 +652,31 @@ def cmd_bench(config: dict, out_dir: Path) -> int:
 
 def _build_model_config(config: dict, mask, variant, heads,
                         pooling_head: str | None = None) -> ModelConfig:
-    t_len = int(config["t_len"])
-    n_series = int(config["n_series"])
+    """One-block model for the config's task: forecast on (t_len/4, n_series)
+    tokens, or classify on a volume patched by 2 along each axis."""
     d_model = int(config["d_model"])
-    token_dims = (t_len // 4, n_series)
-    spec = None
+    if config["task"] == "separable-spatiotemporal-forecast":
+        raw_dims = (int(config["t_len"]), int(config["n_series"]))
+        patch, rotary = (4, 1), tuple(config["rotary_modes"])
+        head = dict(task="forecast", horizon=int(config["horizon"]), n_series=raw_dims[1])
+    else:
+        raw_dims = tuple(config["volume"])
+        patch, rotary = (2, 2, 2), (0, 1, 2)
+        head = dict(task="classify", num_classes=int(config["num_classes"]))
     try:
-        if "linear" in variant:
+        spec = None
+        if "linear" in variant and heads >= 1:  # HOTBlockConfig rejects other head counts
             spec = FeatureMapSpec(int(config["feature_count"]), d_model // heads, seed=11)
         return ModelConfig(
-            raw_dims=(t_len, n_series),
-            patch=PatchEmbedConfig((4, 1)),
-            rotary=RotaryConfig(modes=tuple(config["rotary_modes"])),
+            raw_dims=raw_dims,
+            patch=PatchEmbedConfig(patch),
+            rotary=RotaryConfig(modes=rotary),
             block=HOTBlockConfig(
-                dims=token_dims, d_model=d_model, heads=heads, variant=variant,
-                ffn_dim=int(config["ffn_dim"]), mode_mask=tuple(mask) if mask else (),
-                feature_spec=spec),
+                dims=tuple(d // p for d, p in zip(raw_dims, patch)), d_model=d_model,
+                heads=heads, variant=variant, ffn_dim=int(config["ffn_dim"]),
+                mode_mask=tuple(mask) if mask else (), feature_spec=spec),
             num_blocks=1,
-            head=HeadConfig(task="forecast", pooling=pooling_head or config["pooling_head"],
-                            horizon=int(config["horizon"]), n_series=n_series),
+            head=HeadConfig(pooling=pooling_head or config["pooling_head"], **head),
         )
     except ValueError as e:
         raise ConfigError(f"model: {e}") from e
@@ -687,8 +693,7 @@ def _task_spec(config: dict, seed: int, gain_key: str = "interaction_gain") -> S
                       horizon=int(config["horizon"]),
                       interaction_gain=float(config[gain_key]))
     else:
-        kwargs.update(volume=tuple(config.get("volume", (8, 8, 8))),
-                      num_classes=int(config.get("num_classes", 2)))
+        kwargs.update(volume=tuple(config["volume"]), num_classes=int(config["num_classes"]))
     try:
         return SyntheticTaskSpec(**kwargs)
     except ValueError as e:
@@ -703,6 +708,9 @@ def _mask_str(mask) -> str:
 def cmd_ablate(config: dict, out_dir: Path) -> int:
     """Attention-order grid (task and model seeded together per seed) plus a
     nonlinear-task baseline pair: flatten-head two-mode model vs linear readout."""
+    if config["task"] != "separable-spatiotemporal-forecast":
+        raise ConfigError(f"ablate runs the separable-spatiotemporal-forecast task only, "
+                          f"not {config['task']!r}")
     report = Report("ablate", out_dir)
     rows = []
     cell_means = {}
@@ -783,33 +791,8 @@ def cmd_ablate(config: dict, out_dir: Path) -> int:
 
 def cmd_train(config: dict, out_dir: Path) -> int:
     report = Report("train", out_dir)
+    mcfg = _build_model_config(config, config["mask"], config["variant"], int(config["heads"]))
     data = gen_synthetic(_task_spec(config, int(config["task_seed"])))
-    mask = config["mask"] if config["mask"] else []
-    if config["task"] == "separable-spatiotemporal-forecast":
-        mcfg = _build_model_config(config, mask, config["variant"], int(config["heads"]))
-    else:
-        volume = tuple(config["volume"])
-        spec = None
-        token_dims = tuple(v // 2 for v in volume)
-        try:
-            if "linear" in config["variant"]:
-                spec = FeatureMapSpec(int(config["feature_count"]),
-                                      int(config["d_model"]) // int(config["heads"]), seed=11)
-            mcfg = ModelConfig(
-                raw_dims=volume,
-                patch=PatchEmbedConfig((2, 2, 2)),
-                rotary=RotaryConfig(modes=(0, 1, 2)),
-                block=HOTBlockConfig(dims=token_dims, d_model=int(config["d_model"]),
-                                     heads=int(config["heads"]), variant=config["variant"],
-                                     ffn_dim=int(config["ffn_dim"]),
-                                     mode_mask=tuple(mask) if mask else (),
-                                     feature_spec=spec),
-                num_blocks=1,
-                head=HeadConfig(task="classify", pooling=config["pooling_head"],
-                                num_classes=int(config["num_classes"])),
-            )
-        except ValueError as e:
-            raise ConfigError(f"model: {e}") from e
     model = HOTModel.initialize(mcfg, seed=int(config["seed"]))
     log_rows = []
     res = train_model(model, data, steps=int(config["steps"]),

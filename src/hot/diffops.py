@@ -57,11 +57,11 @@ def kernelized_mode_apply_v(v: Var, qt: Var, kt: Var, axis: int, spec: FeatureMa
 
     ``v`` is (*lead, ..., N, ..., E) with ``N`` at ``axis``; ``qt``/``kt`` are
     the pooled per-mode matrices (*lead, N, E).  Applies
-    ``S = Z^-1 phi(qt) phi(kt)^T`` with Z floored at the same epsilon as the
-    forward-only path.  The contraction order follows from the shapes: with
-    ``N <= M`` random features the N x N gate is built and applied once;
-    otherwise (for example over flattened tokens) ``phi(kt)^T`` contracts
-    first, so the cost stays linear in ``N``.
+    ``S = Z^-1 phi(qt) phi(kt)^T`` with the row sums Z floored at ``EPS_Z``.
+    The contraction order follows from the shapes: with ``N <= M`` random
+    features the N x N gate is built and applied once; otherwise (for example
+    over flattened tokens) ``phi(kt)^T`` contracts first, so the cost stays
+    linear in ``N``.
     """
     if omega is None:
         omega = projection_matrix(spec)

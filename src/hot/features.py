@@ -8,7 +8,8 @@ with projection rows w_m drawn standard normal and orthogonalized in blocks of
 d rows (QR per block, row norms redrawn chi-distributed so each row keeps a
 Gaussian marginal).  Then E[phi(q) . phi(k)] = exp(q . k), and scaling both
 inputs by d**-0.25 before the map turns that into an unbiased estimate of the
-softmax kernel exp(q . k / sqrt(d)).
+softmax kernel exp(q . k / sqrt(d)).  The map itself is
+:func:`hot.diffops.feature_map_v`; this module fixes its projection matrix.
 """
 
 from __future__ import annotations
@@ -56,18 +57,3 @@ def projection_matrix(spec: FeatureMapSpec) -> np.ndarray:
     omega = np.vstack(blocks)
     norms = np.linalg.norm(rng.standard_normal((m, d)), axis=1)
     return omega * norms[:, None]
-
-
-def feature_map(x: np.ndarray, spec: FeatureMapSpec, omega: np.ndarray | None = None) -> np.ndarray:
-    """Map vectors along the last axis to M strictly positive features.
-
-    ``omega`` may be passed to reuse a precomputed projection matrix; it must
-    then equal ``projection_matrix(spec)``.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape[-1] != spec.input_dim:
-        raise ValueError(f"last axis {x.shape[-1]} != input_dim {spec.input_dim}")
-    if omega is None:
-        omega = projection_matrix(spec)
-    sq = 0.5 * np.sum(x * x, axis=-1, keepdims=True)
-    return np.exp(x @ omega.T - sq) / np.sqrt(spec.num_features)

@@ -2,7 +2,8 @@
 
 A block is the standard encoder arrangement (attention sublayer, feed-forward
 sublayer, residuals, layer norm; post-norm by default) with the attention
-sublayer picked from the four variants.  The model pipeline is
+sublayer picked from the four variants, all implemented once, in
+:func:`attention_sublayer_v`.  The model pipeline is
 
     raw input -> patch embedding -> B blocks -> pooling head -> task output
 
@@ -26,6 +27,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import diffops as ops
+from .attention import AttentionWeights, check_model_dims
 from .autodiff import Tape, Var
 from .features import FeatureMapSpec, projection_matrix
 from .io import read_tensor, write_tensor
@@ -69,14 +71,18 @@ class HOTBlockConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}")
-        if self.d_model % self.heads != 0:
-            raise ValueError(f"d_model {self.d_model} not divisible by {self.heads} heads")
+        check_model_dims(self.d_model, self.heads)
         if self.mode_mask and len(self.mode_mask) != len(self.dims):
             raise ValueError("mode_mask length must equal the number of token modes")
         if self.norm_placement not in ("post", "pre"):
             raise ValueError("norm_placement must be 'post' or 'pre'")
+        if self.pooling not in ("sum", "mean"):
+            raise ValueError("pooling must be 'sum' or 'mean'")
         if "linear" in self.variant and self.feature_spec is None:
             raise ValueError(f"variant {self.variant} needs a feature_spec")
+        if self.feature_spec is not None and self.feature_spec.input_dim != self.d_head:
+            raise ValueError(f"feature_spec input_dim {self.feature_spec.input_dim} "
+                             f"!= head dim {self.d_head}")
 
     @property
     def d_head(self) -> int:
@@ -272,6 +278,11 @@ def _split_heads(t: Var, heads: int, d_head: int) -> Var:
     return ad.transpose(cube, perm)
 
 
+def _scores(q: Var, k: Var) -> Var:
+    """Softmax logits ``q k^T / sqrt(E)`` over the last axis."""
+    return ad.scale(ad.matmul(q, k, tb=True), 1.0 / math.sqrt(q.shape[-1]))
+
+
 def attention_sublayer_v(x: Var, cfg: HOTBlockConfig, rotary: RotaryConfig,
                          params: dict[str, Var], prefix: str) -> Var:
     """One multihead attention sublayer on (B, N_0, ..., N_{k-1}, D) input.
@@ -279,7 +290,6 @@ def attention_sublayer_v(x: Var, cfg: HOTBlockConfig, rotary: RotaryConfig,
     Heads are stacked into one leading axis so projections, pooling, gate
     construction and mode application each run as a single broadcast matmul.
     """
-    scale = 1.0 / math.sqrt(cfg.d_head)
     omega = projection_matrix(cfg.feature_spec) if cfg.feature_spec is not None else None
     heads, d_head = cfg.heads, cfg.d_head
     wq = ad.concat_last([params[f"{prefix}.h{h}.wq"] for h in range(heads)])
@@ -296,8 +306,7 @@ def attention_sublayer_v(x: Var, cfg: HOTBlockConfig, rotary: RotaryConfig,
         for i in cfg.enabled_modes:
             qt = _pooled(q, 2 + i, cfg.pooling)
             kk = _pooled(kt, 2 + i, cfg.pooling)
-            logits = ad.scale(ad.matmul(qt, kk, tb=True), scale)
-            p = ops.batched_mode_apply_v(p, ad.softmax_last(logits), 2 + i, lead=2)
+            p = ops.batched_mode_apply_v(p, ad.softmax_last(_scores(qt, kk)), 2 + i, lead=2)
     elif cfg.variant == "factored-linear":
         for i in cfg.enabled_modes:
             qt = _pooled(q, 2 + i, cfg.pooling)
@@ -305,8 +314,7 @@ def attention_sublayer_v(x: Var, cfg: HOTBlockConfig, rotary: RotaryConfig,
             p = ops.kernelized_mode_apply_v(p, qt, kk, 2 + i, cfg.feature_spec, omega, lead=2)
     elif cfg.variant == "full-softmax":
         qf, kf, pf = _flatten_tokens(q), _flatten_tokens(kt), _flatten_tokens(p)
-        logits = ad.scale(ad.matmul(qf, kf, tb=True), scale)
-        pf = ad.matmul(ad.softmax_last(logits), pf)
+        pf = ad.matmul(ad.softmax_last(_scores(qf, kf)), pf)
         p = ad.reshape(pf, p.shape)
     else:  # full-linear
         qf, kf, pf = _flatten_tokens(q), _flatten_tokens(kt), _flatten_tokens(p)
@@ -319,6 +327,23 @@ def attention_sublayer_v(x: Var, cfg: HOTBlockConfig, rotary: RotaryConfig,
                         x.shape[:-1] + (heads * d_head,))
     wo = ad.concat_last([ad.transpose(params[f"{prefix}.h{h}.wo"], (1, 0)) for h in range(heads)])
     return ad.matmul(merged, wo, tb=True)
+
+
+def attention_sublayer(x: np.ndarray, w: AttentionWeights, variant: str,
+                       spec: FeatureMapSpec | None = None, mask: tuple[bool, ...] = (),
+                       pooling: str = "sum") -> np.ndarray:
+    """:func:`attention_sublayer_v` on one unbatched (N_0, ..., N_{k-1}, D) input.
+
+    Constant weights, no rotary phases and no tape: the forward that
+    ``hot bench`` times and that tests and ``hot equiv`` hold to the oracles
+    of :mod:`hot.attention`.
+    """
+    x = as_tensor(x)
+    cfg = HOTBlockConfig(dims=x.shape[:-1], d_model=w.d_model, heads=w.heads, variant=variant,
+                         mode_mask=tuple(mask), feature_spec=spec, pooling=pooling)
+    params = {f"attn.h{h}.{name}": ad.constant(getattr(w, name)[h])
+              for h in range(w.heads) for name in ("wq", "wk", "wv", "wo")}
+    return attention_sublayer_v(ad.constant(x[None]), cfg, RotaryConfig(), params, "attn").value[0]
 
 
 def ffn_v(x: Var, params: dict[str, Var], prefix: str) -> Var:

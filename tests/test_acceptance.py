@@ -12,9 +12,6 @@ import numpy as np
 import pytest
 
 from hot.attention import (
-    factorized_attention_linear,
-    factorized_attention_softmax,
-    full_attention_linear,
     full_high_order_attention,
     materialized_attention,
     mode_attention_matrix,
@@ -22,9 +19,11 @@ from hot.attention import (
     softmax_rows,
     standard_attention,
 )
-from hot.features import FeatureMapSpec, feature_map, projection_matrix
+from hot.features import FeatureMapSpec, projection_matrix
 from hot.kron import kron_chain, kron_decompose, kron_rank_bound, reconstruction_error
+from hot.model import attention_sublayer
 from hot.tensor import matricize, mode_product
+from oracles import phi
 
 
 def report(num, name, passed, detail):
@@ -51,7 +50,7 @@ class TestCriterion01OracleEquivalence:
                 w = random_attention_weights(8, heads, seed=17)
                 x = rng.standard_normal(dims + (8,))
                 err = float(np.abs(
-                    factorized_attention_softmax(x, w) - materialized_attention(x, w)
+                    attention_sublayer(x, w, "factored-softmax") - materialized_attention(x, w)
                 ).max())
                 worst = max(worst, err)
         elapsed = time.perf_counter() - t0
@@ -114,8 +113,8 @@ class TestCriterion04RowStochasticity:
             scale = 4 ** -0.25
             qt = x.sum(axis=1) @ w.wq[0]
             ktp = x.sum(axis=1) @ w.wk[0]
-            qp = feature_map(qt * scale, spec, omega)
-            kp = feature_map(ktp * scale, spec, omega)
+            qp = phi(qt * scale, spec, omega)
+            kp = phi(ktp * scale, spec, omega)
             sk = (qp @ kp.T) / (qp @ kp.sum(axis=0))[:, None]
             worst_kernel = max(worst_kernel, float(np.abs(sk.sum(axis=1) - 1.0).max()))
         report(4, "row stochasticity",
@@ -131,15 +130,16 @@ class TestCriterion05KernelFidelity:
         k = rng.standard_normal(4)
         k *= 0.9 / np.linalg.norm(k)
         target = math.exp(q @ k)
-        ests = [feature_map(q, FeatureMapSpec(4096, 4, seed=s)) @
-                feature_map(k, FeatureMapSpec(4096, 4, seed=s)) for s in range(10)]
+        ests = [phi(q, FeatureMapSpec(4096, 4, seed=s)) @ phi(k, FeatureMapSpec(4096, 4, seed=s))
+                for s in range(10)]
         kernel_err = abs(float(np.mean(ests)) - target) / target
 
         x = rng.standard_normal((4, 5, 8)) * 0.25
         w = random_attention_weights(8, 2, seed=123)
-        ref = factorized_attention_softmax(x, w)
+        ref = attention_sublayer(x, w, "factored-softmax")
         errs = [
-            float(np.linalg.norm(factorized_attention_linear(x, w, FeatureMapSpec(2048, 4, seed=s)) - ref)
+            float(np.linalg.norm(attention_sublayer(x, w, "factored-linear",
+                                                    FeatureMapSpec(2048, 4, seed=s)) - ref)
                   / np.linalg.norm(ref))
             for s in range(10)
         ]
@@ -210,6 +210,8 @@ class TestCriterion07ComplexityScaling:
         report(7, "complexity scaling", code == 0,
                f"factored-linear slope={slopes['factored-linear']:.2f} (window [0.8,1.3]), "
                f"full-softmax slope={slopes['full-softmax']:.2f} (window [1.7,2.3]), "
+               f"factored-softmax slope={slopes['factored-softmax']:.2f}, "
+               f"full-linear slope={slopes['full-linear']:.2f} (not gated), "
                f"memory-linearity asserted")
 
 
@@ -239,10 +241,10 @@ class TestCriterion09Reduction:
             w = random_attention_weights(8, 2, seed=seed)
             ref = standard_attention(x, w)
             spec = FeatureMapSpec(64, 4, seed=seed)
-            worst = max(worst, float(np.abs(factorized_attention_softmax(x, w) - ref).max()))
+            worst = max(worst, float(np.abs(attention_sublayer(x, w, "factored-softmax") - ref).max()))
             worst = max(worst, float(np.abs(full_high_order_attention(x, w) - ref).max()))
-            lin_a = factorized_attention_linear(x, w, spec)
-            lin_b = full_attention_linear(x, w, spec)
+            lin_a = attention_sublayer(x, w, "factored-linear", spec)
+            lin_b = attention_sublayer(x, w, "full-linear", spec)
             worst = max(worst, float(np.abs(lin_a - lin_b).max()))
         report(9, "k=1 reduction", worst <= 1e-12, f"max|d|={worst:.3e} (tol 1e-12)")
 

@@ -1,10 +1,11 @@
 """Attention variant tests: exact oracles, reductions, and statistical limits.
 
-The exact comparisons pit the factorized paths against independently coded
-references (per-element loops, explicitly materialized Kronecker matrices,
-flattened-token attention).  The kernelized paths get statistical tests of
-their softmax limits; those use inputs with moderate pooled logits so the
-random-feature estimator variance stays finite at desk-scale feature counts.
+The variants run through the model's sublayer (``hot.model.attention_sublayer``).
+The exact comparisons pit it against independently coded references
+(per-element loops, explicitly materialized Kronecker matrices, flattened-token
+attention).  The kernelized variants get statistical tests of their softmax
+limits; those use inputs with moderate pooled logits so the random-feature
+estimator variance stays finite at desk-scale feature counts.
 """
 
 import math
@@ -13,13 +14,12 @@ import numpy as np
 import pytest
 
 import hot
+from hot import autodiff as ad
+from hot import diffops as ops
 from hot.attention import (
+    EPS_Z,
     AttentionWeights,
-    factorized_attention_linear,
-    factorized_attention_softmax,
-    full_attention_linear,
     full_high_order_attention,
-    kernelized_mode_apply,
     materialized_attention,
     mode_attention_matrix,
     OracleSizeError,
@@ -27,9 +27,17 @@ from hot.attention import (
     softmax_rows,
     standard_attention,
 )
-from hot.features import FeatureMapSpec, feature_map, projection_matrix
+from hot.features import FeatureMapSpec, projection_matrix
 from hot.kron import kron_chain
+from hot.model import attention_sublayer
 from hot.tensor import mode_product, pool_sum_except
+from oracles import kernel_gate, phi
+
+
+def kernelized_apply(v, qt, kt, axis, spec):
+    """``diffops.kernelized_mode_apply_v`` on one unbatched input."""
+    return ops.kernelized_mode_apply_v(ad.constant(v[None]), ad.constant(qt[None]),
+                                       ad.constant(kt[None]), axis + 1, spec).value[0]
 
 
 def standard_attention_by_loops(x, w):
@@ -176,14 +184,15 @@ class TestFactorizedSoftmax:
         rng = np.random.default_rng(11)
         w = random_attention_weights(6, 2, seed=7)
         x = rng.standard_normal((7, 6))
-        assert np.abs(factorized_attention_softmax(x, w) - standard_attention(x, w)).max() <= 1e-14
+        out = attention_sublayer(x, w, "factored-softmax")
+        assert np.abs(out - standard_attention(x, w)).max() <= 1e-14
 
     def test_matches_materialized_kronecker(self):
         rng = np.random.default_rng(12)
         w = random_attention_weights(4, 2, seed=8)
         x = rng.standard_normal((2, 3, 4))
         ref = materialized_attention(x, w)
-        assert np.abs(factorized_attention_softmax(x, w) - ref).max() <= 1e-10
+        assert np.abs(attention_sublayer(x, w, "factored-softmax") - ref).max() <= 1e-10
 
     def test_matches_materialized_on_small_grid_sweep(self):
         rng = np.random.default_rng(13)
@@ -194,7 +203,7 @@ class TestFactorizedSoftmax:
                 w = random_attention_weights(4, heads, seed=9)
                 x = rng.standard_normal(dims + (4,))
                 ref = materialized_attention(x, w)
-                out = factorized_attention_softmax(x, w)
+                out = attention_sublayer(x, w, "factored-softmax")
                 assert np.abs(out - ref).max() <= 1e-10, (dims, heads)
 
     def test_implied_attention_matrix_is_row_stochastic(self):
@@ -211,15 +220,15 @@ class TestFactorizedSoftmax:
         w = random_attention_weights(6, 2, seed=11)
         x = rng.standard_normal((4, 5, 6))
         perm = rng.permutation(5)
-        out_perm = factorized_attention_softmax(x[:, perm, :], w)
-        perm_out = factorized_attention_softmax(x, w)[:, perm, :]
+        out_perm = attention_sublayer(x[:, perm, :], w, "factored-softmax")
+        perm_out = attention_sublayer(x, w, "factored-softmax")[:, perm, :]
         assert np.abs(out_perm - perm_out).max() <= 1e-10
 
     def test_mode_subset_leaves_other_modes_untouched(self):
         rng = np.random.default_rng(16)
         w = random_attention_weights(4, 2, seed=12)
         x = rng.standard_normal((3, 4, 4))
-        out = factorized_attention_softmax(x, w, modes=[1])
+        out = attention_sublayer(x, w, "factored-softmax", mask=(False, True))
         # with only mode 1 enabled, the implied matrix is I (x) S1
         ref = np.zeros_like(x)
         for h in range(w.heads):
@@ -234,7 +243,7 @@ class TestFactorizedSoftmax:
         rng = np.random.default_rng(17)
         w = random_attention_weights(4, 2, seed=13)
         x = rng.standard_normal((3, 4, 4))
-        out = factorized_attention_softmax(x, w, modes=[])
+        out = attention_sublayer(x, w, "factored-softmax", mask=(False, False))
         ref = sum(x @ w.wv[h] @ w.wo[h] for h in range(w.heads))
         assert np.abs(out - ref).max() <= 1e-12
 
@@ -242,13 +251,13 @@ class TestFactorizedSoftmax:
 class TestFeatureMap:
     def test_zero_input_gives_constant(self):
         spec = FeatureMapSpec(16, 4, seed=0)
-        out = feature_map(np.zeros(4), spec)
+        out = phi(np.zeros(4), spec)
         assert np.abs(out - 1.0 / 4.0).max() <= 1e-15
 
     def test_strictly_positive(self):
         rng = np.random.default_rng(18)
         spec = FeatureMapSpec(32, 4, seed=1)
-        out = feature_map(rng.standard_normal((10, 4)), spec)
+        out = phi(rng.standard_normal((10, 4)), spec)
         assert (out > 0).all()
 
     def test_monte_carlo_kernel_identity(self):
@@ -260,7 +269,7 @@ class TestFeatureMap:
         k *= 0.9 / np.linalg.norm(k)
         target = math.exp(q @ k)
         estimates = [
-            feature_map(q, FeatureMapSpec(4096, 4, seed=s)) @ feature_map(k, FeatureMapSpec(4096, 4, seed=s))
+            phi(q, FeatureMapSpec(4096, 4, seed=s)) @ phi(k, FeatureMapSpec(4096, 4, seed=s))
             for s in range(10)
         ]
         assert abs(np.mean(estimates) - target) / target <= 0.05
@@ -282,14 +291,8 @@ class TestKernelizedModeApply:
     def test_implied_rows_sum_to_one(self):
         rng = np.random.default_rng(20)
         spec = FeatureMapSpec(16, 4, seed=4)
-        qt = rng.standard_normal((5, 4))
-        kt = rng.standard_normal((5, 4))
-        scale = 4 ** -0.25
-        omega = projection_matrix(spec)
-        qp = feature_map(qt * scale, spec, omega)
-        kp = feature_map(kt * scale, spec, omega)
-        z = qp @ kp.sum(axis=0)
-        s = (qp @ kp.T) / z[:, None]
+        s, z = kernel_gate(rng.standard_normal((5, 4)), rng.standard_normal((5, 4)), spec)
+        assert (z >= EPS_Z).all()
         assert np.abs(s.sum(axis=1) - 1.0).max() <= 1e-12
 
     def test_single_position_is_identity(self):
@@ -298,7 +301,7 @@ class TestKernelizedModeApply:
         v = rng.standard_normal((1, 3, 4))
         qt = rng.standard_normal((1, 4))
         kt = rng.standard_normal((1, 4))
-        out = kernelized_mode_apply(v, qt, kt, 0, spec)
+        out = kernelized_apply(v, qt, kt, 0, spec)
         assert np.abs(out - v).max() <= 1e-12
 
     def test_converges_to_softmax_application(self):
@@ -311,20 +314,21 @@ class TestKernelizedModeApply:
         ref = mode_product(v, softmax_rows(qt @ kt.T / 2.0), 0)
         errs = []
         for s in range(10):
-            out = kernelized_mode_apply(v, qt, kt, 0, FeatureMapSpec(2048, 4, seed=s))
+            out = kernelized_apply(v, qt, kt, 0, FeatureMapSpec(2048, 4, seed=s))
             errs.append(np.linalg.norm(out - ref) / np.linalg.norm(ref))
         assert np.mean(errs) <= 0.1
 
-    def test_floor_counter(self):
+    def test_floored_rows_stay_finite(self):
         spec = FeatureMapSpec(8, 2, seed=6)
         v = np.ones((2, 2))
         # keys far in the negative direction drive Z towards zero
         qt = np.full((2, 2), 30.0)
         kt = np.full((2, 2), -30.0)
-        stats = {}
-        out = kernelized_mode_apply(v, qt, kt, 0, spec, stats=stats)
+        s, z = kernel_gate(qt, kt, spec)
+        assert (z < EPS_Z).all()
+        out = kernelized_apply(v, qt, kt, 0, spec)
         assert np.isfinite(out).all()
-        assert stats["z_floored"] >= 1
+        assert np.abs(out - s @ v).max() <= 1e-12
 
 
 class TestFactorizedLinear:
@@ -333,8 +337,8 @@ class TestFactorizedLinear:
         w = random_attention_weights(8, 2, seed=14)
         spec = FeatureMapSpec(32, 4, seed=7)
         x = rng.standard_normal((6, 8))
-        a = factorized_attention_linear(x, w, spec)
-        b = full_attention_linear(x, w, spec)
+        a = attention_sublayer(x, w, "factored-linear", spec)
+        b = attention_sublayer(x, w, "full-linear", spec)
         assert np.abs(a - b).max() <= 1e-12
 
     def test_converges_to_standard_attention_at_one_mode(self):
@@ -344,7 +348,7 @@ class TestFactorizedLinear:
         ref = standard_attention(x, w)
         errs = []
         for s in range(10):
-            out = factorized_attention_linear(x, w, FeatureMapSpec(2048, 4, seed=s))
+            out = attention_sublayer(x, w, "factored-linear", FeatureMapSpec(2048, 4, seed=s))
             errs.append(np.linalg.norm(out - ref) / np.linalg.norm(ref))
         assert np.mean(errs) <= 0.1
 
@@ -352,10 +356,10 @@ class TestFactorizedLinear:
         rng = np.random.default_rng(25)
         w = random_attention_weights(8, 2, seed=16)
         x = rng.standard_normal((4, 5, 8)) * 0.25
-        ref = factorized_attention_softmax(x, w)
+        ref = materialized_attention(x, w)
         errs = []
         for s in range(10):
-            out = factorized_attention_linear(x, w, hot.FeatureMapSpec(2048, 4, seed=s))
+            out = attention_sublayer(x, w, "factored-linear", hot.FeatureMapSpec(2048, 4, seed=s))
             errs.append(np.linalg.norm(out - ref) / np.linalg.norm(ref))
         assert np.mean(errs) <= 0.1
 
@@ -364,15 +368,15 @@ class TestFactorizedLinear:
         w = random_attention_weights(8, 2, seed=17)
         spec = FeatureMapSpec(16, 4, seed=8)
         x = rng.standard_normal((2, 3, 4, 8))
-        assert factorized_attention_linear(x, w, spec).shape == x.shape
+        assert attention_sublayer(x, w, "factored-linear", spec).shape == x.shape
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(27)
         w = random_attention_weights(8, 2, seed=18)
         spec = FeatureMapSpec(64, 4, seed=9)
         x = rng.standard_normal((3, 4, 8))
-        a = factorized_attention_linear(x, w, spec)
-        b = factorized_attention_linear(x, w, spec)
+        a = attention_sublayer(x, w, "factored-linear", spec)
+        b = attention_sublayer(x, w, "factored-linear", spec)
         assert np.array_equal(a, b)
 
 
@@ -384,21 +388,23 @@ class TestFullLinear:
         ref = full_high_order_attention(x, w)
         errs = []
         for s in range(10):
-            out = full_attention_linear(x, w, FeatureMapSpec(4096, 4, seed=s))
+            out = attention_sublayer(x, w, "full-linear", FeatureMapSpec(4096, 4, seed=s))
             errs.append(np.linalg.norm(out - ref) / np.linalg.norm(ref))
         assert np.mean(errs) <= 0.1
 
-    def test_implied_rows_sum_to_one_exactly_by_construction(self):
+    def test_matches_materialized_kernel_gate(self):
+        # 12 flattened tokens > M = 8 features: the key-first contraction
         rng = np.random.default_rng(29)
-        spec = FeatureMapSpec(32, 4, seed=10)
+        w = random_attention_weights(8, 2, seed=21)
+        spec = FeatureMapSpec(8, 4, seed=10)
+        x = rng.standard_normal((3, 4, 8))
         omega = projection_matrix(spec)
-        scale = 4 ** -0.25
-        q = rng.standard_normal((7, 4))
-        k = rng.standard_normal((7, 4))
-        qp = feature_map(q * scale, spec, omega)
-        kp = feature_map(k * scale, spec, omega)
-        s = (qp @ kp.T) / (qp @ kp.sum(axis=0))[:, None]
-        assert np.abs(s.sum(axis=1) - 1.0).max() <= 1e-12
+        ref = np.zeros_like(x)
+        for h in range(w.heads):
+            q, k, v = ((x @ m[h]).reshape(12, 4) for m in (w.wq, w.wk, w.wv))
+            ref += (kernel_gate(q, k, spec, omega)[0] @ v).reshape(3, 4, 4) @ w.wo[h]
+        out = attention_sublayer(x, w, "full-linear", spec)
+        assert np.abs(out - ref).max() <= 1e-12
 
 
 class TestWeights:

@@ -5,8 +5,11 @@ import pytest
 
 from hot import autodiff as ad
 from hot import diffops as ops
+from hot.attention import EPS_Z
 from hot.autodiff import Tape, TapeConsumedError
 from hot.features import FeatureMapSpec
+from hot.tensor import mode_product
+from oracles import kernel_gate
 
 
 def numeric_grad(f, x, eps=1e-6):
@@ -243,8 +246,6 @@ class TestDiffOps:
     @pytest.mark.parametrize("n", [5, 20], ids=["gate", "key_first"])  # against M = 16
     @pytest.mark.parametrize("scale", [0.5, 4.0], ids=["unfloored", "floored"])
     def test_kernelized_apply_forward_matches_reference(self, axis, n, scale):
-        from hot.attention import kernelized_mode_apply
-
         rng = np.random.default_rng(14)
         spec = FeatureMapSpec(16, 4, seed=5)
         shape = [3, 2, 4]
@@ -252,13 +253,14 @@ class TestDiffOps:
         qt0 = rng.standard_normal((n, 4)) * scale
         kt0 = rng.standard_normal((n, 4)) * scale
         v0 = rng.standard_normal(tuple(shape) + (4,))
-        stats = {}
-        ref = kernelized_mode_apply(v0, qt0, kt0, axis, spec, stats=stats)
+        gate, z = kernel_gate(qt0, kt0, spec)
+        floored = int(np.count_nonzero(z < EPS_Z))
         if scale > 1.0:
-            assert 0 < stats["z_floored"] < n
+            assert 0 < floored < n
         else:
-            assert stats["z_floored"] == 0
-        # batched path with batch size 1 equals the unbatched reference
+            assert floored == 0
+        # batched path with batch size 1 equals the materialized gate applied along the axis
+        ref = mode_product(v0, gate, axis)
         out = ops.kernelized_mode_apply_v(
             ad.constant(v0[None]), ad.constant(qt0[None]), ad.constant(kt0[None]), axis + 1, spec)
         assert np.abs(out.value[0] - ref).max() <= 1e-12

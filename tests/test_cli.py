@@ -1,12 +1,15 @@
 """Command-line contract tests: config validation, exit codes, CSV dialect,
 determinism, and fault-injection self-tests."""
 
+import csv
 import json
 
 import numpy as np
 import pytest
 
 import hot.attention
+import hot.model
+from hot import autodiff as ad
 from hot.cli import ConfigError, load_config, main
 
 
@@ -75,6 +78,31 @@ class TestConfig:
         assert run_cli(["ablate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert "config error:" in capsys.readouterr().err
 
+    def test_ablate_rejects_voxel_task(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({"task": "cross-mode-voxel-classify", "n_train": 8,
+                                   "n_val": 4, "seeds": [0], "steps": 1}))
+        assert run_cli(["ablate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "config error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,bad", [
+        ("train", {"heads": 0}),
+        ("train", {"heads": 0, "variant": "factored-linear"}),
+        ("train", {"d_model": 0}),
+        ("ablate", {"heads": [0], "seeds": [0]}),
+        ("ablate", {"d_model": 0, "seeds": [0]}),
+        ("equiv", {"heads": [0]}),
+        ("equiv", {"d_model": 0}),
+        ("bench", {"heads": 0}),
+        ("bench", {"d_model": 0}),
+    ], ids=["train-heads", "train-linear-heads", "train-d_model", "ablate-heads",
+            "ablate-d_model", "equiv-heads", "equiv-d_model", "bench-heads", "bench-d_model"])
+    def test_zero_model_dims_exit_2(self, tmp_path, capsys, command, bad):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(bad))
+        assert run_cli([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "config error:" in capsys.readouterr().err
+
 
 @pytest.fixture
 def small_equiv_config(tmp_path):
@@ -98,9 +126,10 @@ class TestEquivCommand:
     def test_csv_floats_round_trip(self, tmp_path, small_equiv_config):
         out = tmp_path / "out"
         run_cli(["equiv", "--config", str(small_equiv_config), "--out", str(out)])
-        for line in (out / "equiv.csv").read_text().splitlines()[1:]:
-            err = line.split(",")[4]
-            assert float(err) == float(f"{float(err):.17g}")
+        with open(out / "equiv.csv", newline="") as f:
+            for row in csv.DictReader(f):
+                err = row["max_abs_err"]
+                assert float(err) == float(f"{float(err):.17g}")
 
     def test_rerun_is_byte_identical(self, tmp_path, small_equiv_config):
         out1 = tmp_path / "a"
@@ -111,38 +140,18 @@ class TestEquivCommand:
         assert (out1 / "equiv_summary.json").read_bytes() == (out2 / "equiv_summary.json").read_bytes()
 
     def test_injected_scaling_bug_fails_suite(self, tmp_path, small_equiv_config, monkeypatch):
-        # drop the 1/sqrt(d) scaling: the materialized oracle must catch it
-        import hot.cli as cli
-
+        # drop the 1/sqrt(d) scaling from the model's softmax logits: the
+        # materialized oracle, left intact, must catch it
         real = hot.attention.mode_attention_matrix
-
-        def buggy(q, k, mode, pooling="sum"):
-            from hot.attention import softmax_rows
-            from hot.tensor import pool_sum_except
-
-            return softmax_rows(pool_sum_except(q, mode) @ pool_sum_except(k, mode).T)
-
-        monkeypatch.setattr(cli, "factorized_attention_softmax",
-                            lambda x, w, **kw: _buggy_factorized(x, w, buggy))
+        monkeypatch.setattr(hot.model, "_scores", lambda q, k: ad.matmul(q, k, tb=True))
         out = tmp_path / "out"
         assert run_cli(["equiv", "--config", str(small_equiv_config), "--out", str(out)]) == 1
         summary = json.loads((out / "equiv_summary.json").read_text())
         assert summary["passed"] is False
+        failed = {a["name"].split()[0] for a in summary["assertions"] if not a["passed"]}
+        assert "factored-vs-materialized" in failed
         assert real is hot.attention.mode_attention_matrix
 
-
-def _buggy_factorized(x, w, matrix_fn):
-    from hot.tensor import mode_product
-
-    out = np.zeros_like(x)
-    for h in range(w.heads):
-        q = x @ w.wq[h]
-        kt = x @ w.wk[h]
-        p = x @ w.wv[h]
-        for i in range(x.ndim - 1):
-            p = mode_product(p, matrix_fn(q, kt, i), i)
-        out += p @ w.wo[h]
-    return out
 
 
 class TestKronrankCommand:
@@ -173,8 +182,8 @@ class TestGradcheckCommand:
         assert run_cli(["gradcheck", "--config", str(cfg), "--out", str(out)]) == 0
         lines = (out / "gradcheck.csv").read_text().splitlines()
         cases = {line.split(",")[0] for line in lines[1:]}
-        for expected in ("pooling", "softmax_rows", "kernelized_mode_apply",
-                         "kernelized_mode_apply_key_first", "batched_mode_apply_first_axis",
+        for expected in ("pooling", "softmax_rows", "feature_map_v", "kernelized_mode_apply_v",
+                         "kernelized_mode_apply_v_key_first", "batched_mode_apply_first_axis",
                          "batched_mode_apply_middle_axis", "batched_mode_apply_last_axis",
                          "layer_norm", "layer_norm_batched", "gelu", "affine",
                          "rotary_2_modes", "rotary_3_modes", "factored-softmax",
@@ -255,3 +264,24 @@ class TestTrainAblateCommands:
         summary = json.loads((out / "ablate_summary.json").read_text())
         names = [a["name"] for a in summary["assertions"]]
         assert "parameter count identical across grid" in names
+
+
+class TestCsvRows:
+    def test_every_row_as_wide_as_header(self, tmp_path):
+        """Shape labels carry no commas, so multi-mode shapes keep rows rectangular."""
+        configs = {
+            "equiv": {"shapes": [[2, 3], [2, 2, 2]], "heads": [2], "seeds": [0]},
+            "kronrank": {"dims_list": [[2, 2]], "seeds": [0]},
+            "bench": {"variants": ["factored-linear"], "grids": {"factored-linear": [[4, 4], [8, 8]]},
+                      "reps": 3, "warmups": 0, "slope_windows": {}, "track_memory": False},
+        }
+        out = tmp_path / "out"
+        for command, body in configs.items():
+            cfg = tmp_path / f"{command}.json"
+            cfg.write_text(json.dumps(body))
+            assert run_cli([command, "--config", str(cfg), "--out", str(out)]) == 0
+        for name in ("equiv", "kronrank", "bench", "bench_samples"):
+            with open(out / f"{name}.csv", newline="") as f:
+                header, *rows = list(csv.reader(f))
+            assert rows, name
+            assert {len(row) for row in rows} == {len(header)}, name

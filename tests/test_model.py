@@ -7,14 +7,7 @@ import numpy as np
 import pytest
 
 from hot import autodiff as ad
-from hot.attention import (
-    factorized_attention_linear,
-    factorized_attention_softmax,
-    full_attention_linear,
-    full_high_order_attention,
-    materialized_attention,
-    random_attention_weights,
-)
+from hot.attention import full_high_order_attention, materialized_attention, random_attention_weights
 from hot.autodiff import Tape
 from hot.features import FeatureMapSpec
 from hot.io import write_tensor
@@ -26,11 +19,12 @@ from hot.model import (
     PatchEmbedConfig,
     RotaryConfig,
     VARIANTS,
-    attention_sublayer_v,
+    attention_sublayer,
     patchify,
     rotary_encode,
     rotary_tables,
 )
+from oracles import materialized_sublayer
 
 
 def small_config(variant="factored-softmax", mask=(), rotary_modes=(0,), pooling="mean",
@@ -198,20 +192,16 @@ class TestBlock:
         assert out.shape == (1, 3, 2)
 
 
-def sublayer_at_batch_one(x, w, variant, spec=None, mask=(), pooling="sum"):
-    """``attention_sublayer_v`` on one input, with constant weights and no rotary."""
-    cfg = HOTBlockConfig(dims=x.shape[:-1], d_model=w.d_model, heads=w.heads, variant=variant,
-                         mode_mask=mask, feature_spec=spec, pooling=pooling)
-    params = {f"attn.h{h}.{name}": ad.constant(getattr(w, name)[h])
-              for h in range(w.heads) for name in ("wq", "wk", "wv", "wo")}
-    return attention_sublayer_v(ad.constant(x[None]), cfg, RotaryConfig(), params, "attn").value[0]
-
-
 SUBLAYER_DIMS = [(6,), (2, 3), (3, 4, 5), (2, 2, 2, 2)]
 
 
 class TestSublayerMatchesAttentionFunctions:
-    """The model's batched sublayer at B = 1 computes each ``hot.attention`` variant."""
+    """The model's batched sublayer at B = 1 equals the materialized attention matrices.
+
+    Full softmax is held to ``full_high_order_attention``, factored softmax over
+    all modes to ``materialized_attention``, and the other cases to the
+    explicit Kronecker product of per-mode gates in ``oracles``.
+    """
 
     @pytest.mark.parametrize("heads", [1, 2])
     @pytest.mark.parametrize("dims", SUBLAYER_DIMS, ids=str)
@@ -227,25 +217,14 @@ class TestSublayerMatchesAttentionFunctions:
         w = random_attention_weights(8, heads, seed=32)
         spec = FeatureMapSpec(16, w.d_head, seed=33) if "linear" in variant else None
         mask = tuple(i % 2 == 1 for i in range(len(dims))) if subset else ()
-        modes = [i for i, on in enumerate(mask) if on] if subset else None
-        ref = {
-            "full-softmax": lambda: full_high_order_attention(x, w),
-            "full-linear": lambda: full_attention_linear(x, w, spec),
-            "factored-softmax": lambda: factorized_attention_softmax(x, w, modes, pooling),
-            "factored-linear": lambda: factorized_attention_linear(x, w, spec, modes, pooling),
-        }[variant]()
-        out = sublayer_at_batch_one(x, w, variant, spec, mask, pooling)
+        if variant == "full-softmax":
+            ref = full_high_order_attention(x, w)
+        elif variant == "factored-softmax" and not subset:
+            ref = materialized_attention(x, w, pooling)
+        else:
+            ref = materialized_sublayer(x, w, variant, spec, mask, pooling)
+        out = attention_sublayer(x, w, variant, spec, mask, pooling)
         assert np.abs(out - ref).max() <= 1e-12
-
-    @pytest.mark.parametrize("pooling", ["sum", "mean"])
-    @pytest.mark.parametrize("heads", [1, 2])
-    @pytest.mark.parametrize("dims", SUBLAYER_DIMS, ids=str)
-    def test_factored_softmax_matches_materialized_oracle(self, dims, heads, pooling):
-        rng = np.random.default_rng(34)
-        x = rng.standard_normal(dims + (8,))
-        w = random_attention_weights(8, heads, seed=35)
-        out = sublayer_at_batch_one(x, w, "factored-softmax", pooling=pooling)
-        assert np.abs(out - materialized_attention(x, w, pooling)).max() <= 1e-12
 
 
 class TestModelForward:
@@ -354,6 +333,22 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             HOTBlockConfig(dims=(4,), d_model=7, heads=2)
 
+    @pytest.mark.parametrize("d_model,heads", [(8, 0), (0, 2)], ids=["zero-heads", "zero-d_model"])
+    def test_zero_dims_rejected(self, d_model, heads):
+        with pytest.raises(ValueError, match="must both be >= 1"):
+            HOTBlockConfig(dims=(4,), d_model=d_model, heads=heads)
+        with pytest.raises(ValueError, match="must both be >= 1"):
+            random_attention_weights(d_model, heads)
+
+    def test_feature_spec_must_match_head_dim(self):
+        with pytest.raises(ValueError, match="input_dim 8 != head dim 4"):
+            HOTBlockConfig(dims=(4,), d_model=8, heads=2, variant="factored-linear",
+                           feature_spec=FeatureMapSpec(8, 8))
+
+    def test_unknown_pooling_rejected(self):
+        with pytest.raises(ValueError, match="pooling"):
+            HOTBlockConfig(dims=(4,), d_model=8, heads=2, pooling="max")
+
     def test_mask_length(self):
         with pytest.raises(ValueError):
             HOTBlockConfig(dims=(4, 5), d_model=8, heads=2, mode_mask=(True,))
@@ -429,6 +424,16 @@ class TestCheckpoint:
         del manifest["params"]["head.b"]
         path.write_text(json.dumps(manifest))
         with pytest.raises(ValueError, match="'head.b'"):
+            HOTModel.load(tmp_path / "ckpt")
+
+    def test_feature_spec_not_matching_head_dim_rejected(self, tmp_path):
+        model = HOTModel.initialize(small_config(variant="factored-linear"), seed=10)
+        model.save(tmp_path / "ckpt")
+        path = tmp_path / "ckpt" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["config"]["block"]["feature_spec"]["input_dim"] = 8
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match="input_dim 8 != head dim 4"):
             HOTModel.load(tmp_path / "ckpt")
 
     def test_wrong_shape_rejected(self, tmp_path):
