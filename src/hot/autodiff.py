@@ -13,16 +13,56 @@ an adjoint it received, and a ``grad`` is only updated in place by the ``Var``
 that owns it (``owns_grad``); a second accumulation into a borrowed buffer
 allocates a new one.  ``Tape.backward`` ends by copying every leaf ``grad``
 that is still borrowed, so leaf gradients are private and writable.
+
+A ``Var`` holds its tape weakly, while the tape holds its closures and they
+hold the ``Var`` objects.  So the caller's ``Tape`` is the only strong
+reference to a graph: when the caller drops or rebinds it, reference counting
+frees every recorded node at once, without waiting for the cyclic collector.
+An op on a tracked ``Var`` whose tape is gone raises ``ValueError``.
+
+Allocator policy.  A train step frees its whole graph, and the next step
+allocates the same arrays again; ``predict`` does the same from call to call.
+glibc's malloc would hand that memory back to the kernel (arrays above its
+dynamic mmap threshold are unmapped on free, and the heap top is trimmed once
+it exceeds twice that threshold), and the next step would fault every page
+back in.  So importing this module calls ``mallopt`` once: arrays below
+32 MiB (glibc's largest mmap threshold) come from the heap, and the heap top
+is trimmed only beyond 1 GiB of free memory.  The setting is process-wide and
+applies only where the C library has ``mallopt`` (glibc); elsewhere nothing
+is changed.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
+import weakref
 
 import numpy as np
 from scipy.special import ndtr
 
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
+
+# mallopt parameters and values from glibc's <malloc.h>
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_TRIM_THRESHOLD_BYTES = 1 << 30
+_MMAP_THRESHOLD_BYTES = 32 << 20
+
+
+def _keep_freed_memory_mapped() -> None:
+    """Apply the allocator policy above where libc has ``mallopt``."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):  # no C library handle (Windows), or no mallopt
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES)
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES)
+
+
+_keep_freed_memory_mapped()
 
 
 class TapeConsumedError(RuntimeError):
@@ -64,7 +104,7 @@ class Tape:
 class Var:
     """A value in the computation graph; ``grad`` is filled by ``Tape.backward``."""
 
-    __slots__ = ("value", "grad", "owns_grad", "tape", "requires_grad")
+    __slots__ = ("value", "grad", "owns_grad", "_tape", "requires_grad")
 
     def __init__(self, value: np.ndarray, tape: Tape | None, requires_grad: bool):
         if requires_grad and tape is None:
@@ -72,8 +112,13 @@ class Var:
         self.value = np.asarray(value, dtype=np.float64)
         self.grad = None
         self.owns_grad = False  # True once ``grad`` is a buffer no one else holds
-        self.tape = tape
+        self._tape = None if tape is None else weakref.ref(tape)
         self.requires_grad = requires_grad
+
+    @property
+    def tape(self) -> Tape | None:
+        """The recording tape; None for a constant, or once the tape is freed."""
+        return None if self._tape is None else self._tape()
 
     @property
     def shape(self):
@@ -92,8 +137,12 @@ def _lift(x, tape) -> Var:
 
 def _tape_of(*xs) -> Tape | None:
     for x in xs:
-        if isinstance(x, Var) and x.tape is not None:
-            return x.tape
+        if isinstance(x, Var) and x._tape is not None:
+            tape = x._tape()
+            if tape is None:
+                raise ValueError("an operand's tape has been freed; keep the Tape alive "
+                                 "until its graph is no longer used")
+            return tape
     return None
 
 

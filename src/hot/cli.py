@@ -235,6 +235,13 @@ def _weights(d_model: int, heads: int, seed: int):
         raise ConfigError(f"model: {e}") from e
 
 
+def _feature_spec(config: dict, input_dim: int, seed: int) -> FeatureMapSpec:
+    try:
+        return FeatureMapSpec(int(config["feature_count"]), input_dim, seed=seed)
+    except ValueError as e:
+        raise ConfigError(f"feature_count: {e}") from e
+
+
 class Report:
     """Collects assertion outcomes and writes the summary JSON."""
 
@@ -310,7 +317,7 @@ def cmd_equiv(config: dict, out_dir: Path) -> int:
         for heads in config["heads"]:
             w = _weights(d_model, heads, seed + 2000)
             ref = standard_attention(x, w)
-            spec = FeatureMapSpec(int(config["feature_count"]), w.d_head, seed=seed)
+            spec = _feature_spec(config, w.d_head, seed)
             for name, out in (
                 ("reduction-factored-softmax", attention_sublayer(x, w, "factored-softmax")),
                 ("reduction-full-softmax",
@@ -352,7 +359,7 @@ def _op_cases(config):
     """Named differentiable ops: (name, case(vars) -> loss Var, param arrays)."""
     rng = np.random.default_rng(12345)
     t0 = rng.standard_normal((3, 4, 4))
-    spec = FeatureMapSpec(int(config["feature_count"]), 4, seed=3)
+    spec = _feature_spec(config, 4, 3)
     omega = projection_matrix(spec)
 
     cases = [
@@ -413,17 +420,22 @@ def _op_cases(config):
 def _gradcheck_model(variant, config, seed):
     shape = tuple(config["shape"])
     d_model = int(config["d_model"])
-    spec = FeatureMapSpec(int(config["feature_count"]), d_model // int(config["heads"]),
-                          seed=7) if "linear" in variant else None
-    cfg = ModelConfig(
-        raw_dims=shape,
-        patch=PatchEmbedConfig((1,) * len(shape)),
-        rotary=RotaryConfig(modes=(0,)),
-        block=HOTBlockConfig(dims=shape, d_model=d_model, heads=int(config["heads"]),
-                             variant=variant, feature_spec=spec),
-        num_blocks=1,
-        head=HeadConfig(task="forecast", pooling="mean", horizon=2, n_series=2),
-    )
+    heads = int(config["heads"])
+    spec = None
+    if "linear" in variant and heads >= 1:  # HOTBlockConfig rejects other head counts
+        spec = _feature_spec(config, d_model // heads, 7)
+    try:
+        cfg = ModelConfig(
+            raw_dims=shape,
+            patch=PatchEmbedConfig((1,) * len(shape)),
+            rotary=RotaryConfig(modes=(0,)),
+            block=HOTBlockConfig(dims=shape, d_model=d_model, heads=heads,
+                                 variant=variant, feature_spec=spec),
+            num_blocks=1,
+            head=HeadConfig(task="forecast", pooling="mean", horizon=2, n_series=2),
+        )
+    except ValueError as e:
+        raise ConfigError(f"model: {e}") from e
     model = HOTModel.initialize(cfg, seed=seed)
     rng = np.random.default_rng(seed + 500)
     x = rng.standard_normal((2,) + shape)
@@ -576,14 +588,17 @@ def cmd_bench(config: dict, out_dir: Path) -> int:
     warmups = int(config["warmups"])
     seed = int(config["seed"])
     w = _weights(d_model, int(config["heads"]), seed + 1)
-    spec = FeatureMapSpec(int(config["feature_count"]), w.d_head, seed=seed)
+    spec = _feature_spec(config, w.d_head, seed)
+    for variant in config["variants"]:
+        if variant not in VARIANTS:
+            raise ConfigError(f"unknown variant {variant!r}")
+        if variant not in config["grids"]:
+            raise ConfigError(f"grids has no entry for variant {variant!r}")
     rows = []
     sample_rows = []
     slopes = {}
     memories = {}
     for variant in config["variants"]:
-        if variant not in VARIANTS:
-            raise ConfigError(f"unknown variant {variant!r}")
         grid = [tuple(int(d) for d in dims) for dims in config["grids"][variant]]
         inputs = [np.random.default_rng(seed).standard_normal(dims + (d_model,)) for dims in grid]
         run = functools.partial(attention_sublayer, w=w, variant=variant,

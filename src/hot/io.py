@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .tensor import MAX_ELEMENTS, as_tensor
+from .tensor import MAX_ELEMENTS, check_shape
 
 MAGIC = b"HOT1"
 _HEADER = struct.Struct("<4sI")
@@ -41,8 +41,12 @@ class DimOverflowError(TensorFileError):
 
 
 def write_tensor(path, t: np.ndarray) -> None:
-    """Write tensor ``t`` to ``path`` in the HOT1 binary format."""
-    t = as_tensor(t)
+    """Write tensor ``t`` to ``path`` in the HOT1 binary format.
+
+    Every float64 value is stored as it is, NaN and infinities included.
+    """
+    t = np.ascontiguousarray(t, dtype=np.float64)
+    check_shape(t.shape)
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, t.ndim))
         fh.write(struct.pack(f"<{t.ndim}Q", *t.shape))

@@ -1,5 +1,8 @@
 """Tape and primitive adjoint tests against finite differences and closed forms."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -8,7 +11,10 @@ from hot import diffops as ops
 from hot.attention import EPS_Z
 from hot.autodiff import Tape, TapeConsumedError
 from hot.features import FeatureMapSpec
+from hot.model import (HeadConfig, HOTBlockConfig, HOTModel, ModelConfig, PatchEmbedConfig,
+                       RotaryConfig)
 from hot.tensor import mode_product
+from hot.train import model_loss
 from oracles import kernel_gate
 
 
@@ -196,6 +202,40 @@ class TestTape:
         x = tape.var(np.array(3.0))
         tape.backward(ad.add(ad.mul(x, x), ad.scale(x, 5.0)))
         assert x.grad == pytest.approx(11.0)
+
+
+class TestTapeLifetime:
+    """A Var holds its tape weakly, so dropping the Tape frees the whole graph."""
+
+    def test_dropped_tape_frees_the_step_graph_without_the_collector(self):
+        # the forecast training configuration, at a small batch
+        cfg = ModelConfig(
+            raw_dims=(32, 8), patch=PatchEmbedConfig((4, 1)), rotary=RotaryConfig(modes=(0, 1)),
+            block=HOTBlockConfig(dims=(8, 8), d_model=32, heads=4, ffn_dim=64),
+            num_blocks=1, head=HeadConfig(task="forecast", pooling="mean", horizon=4, n_series=8),
+        )
+        model = HOTModel.initialize(cfg, seed=0)
+        rng = np.random.default_rng(19)
+        x, y = rng.standard_normal((4, 32, 8)), rng.standard_normal((4, 4, 8))
+        gc.collect()
+        gc.disable()
+        try:
+            tape = Tape()
+            loss, leaves = model_loss(model, x, y, tape)
+            tape.backward(loss)
+            alive = weakref.ref(tape)
+            del tape
+            assert alive() is None
+            assert loss.tape is None
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        assert all(np.isfinite(v.grad).all() for v in leaves.values() if v.grad is not None)
+
+    def test_op_on_a_leaf_of_a_freed_tape_raises(self):
+        x = Tape().var(np.ones(3))
+        with pytest.raises(ValueError, match="freed"):
+            ad.mul(x, x)
 
 
 class TestGradOwnership:

@@ -95,12 +95,32 @@ class TestConfig:
         ("equiv", {"d_model": 0}),
         ("bench", {"heads": 0}),
         ("bench", {"d_model": 0}),
+        ("gradcheck", {"heads": 0}),
+        ("gradcheck", {"d_model": 0}),
     ], ids=["train-heads", "train-linear-heads", "train-d_model", "ablate-heads",
-            "ablate-d_model", "equiv-heads", "equiv-d_model", "bench-heads", "bench-d_model"])
+            "ablate-d_model", "equiv-heads", "equiv-d_model", "bench-heads", "bench-d_model",
+            "gradcheck-heads", "gradcheck-d_model"])
     def test_zero_model_dims_exit_2(self, tmp_path, capsys, command, bad):
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps(bad))
         assert run_cli([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "config error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,extra", [
+        ("equiv", {"shapes": [[2, 3]], "heads": [1], "seeds": [0]}),
+        ("bench", {}),
+        ("gradcheck", {}),
+    ], ids=["equiv", "bench", "gradcheck"])
+    def test_zero_feature_count_exits_2(self, tmp_path, capsys, command, extra):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({"feature_count": 0, **extra}))
+        assert run_cli([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "config error:" in capsys.readouterr().err
+
+    def test_bench_variant_without_grids_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({"variants": ["full-linear"], "grids": {}}))
+        assert run_cli(["bench", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert "config error:" in capsys.readouterr().err
 
 

@@ -2,15 +2,33 @@
 
 import struct
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from hot.io import (
     DimOverflowError,
     MalformedHeaderError,
+    TensorFileError,
     TruncatedPayloadError,
     read_tensor,
     write_tensor,
+)
+
+# each example writes its file into the test's own tmp_path, and the time file
+# I/O takes on a busy host is no property of the format, so no deadline
+FILE_EXAMPLES = settings(suppress_health_check=[HealthCheck.function_scoped_fixture],
+                         deadline=None)
+
+# byte strings that get past the magic: an order, some u64 dims (small or any), a payload
+HOT1_LIKE = st.builds(
+    lambda order, dims, payload: (b"HOT1" + struct.pack("<I", order)
+                                  + struct.pack(f"<{len(dims)}Q", *dims) + payload),
+    st.integers(0, 6),
+    st.lists(st.integers(0, 4) | st.integers(0, 2**64 - 1), max_size=6),
+    st.binary(max_size=160),
 )
 
 
@@ -82,3 +100,27 @@ def test_trailing_bytes_rejected(tmp_path):
         fh.write(b"\x00" * 8)
     with pytest.raises(MalformedHeaderError, match="trailing"):
         read_tensor(path)
+
+
+@FILE_EXAMPLES
+@given(raw=st.binary(max_size=64) | HOT1_LIKE)
+def test_arbitrary_bytes_read_or_raise_tensor_file_error(tmp_path, raw):
+    path = tmp_path / "any.hot"
+    path.write_bytes(raw)
+    try:
+        out = read_tensor(path)
+    except TensorFileError:
+        return
+    assert isinstance(out, np.ndarray) and out.dtype == np.float64
+
+
+@FILE_EXAMPLES
+@given(t=hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=4, max_side=5),
+                    elements=st.floats(allow_nan=True, allow_infinity=True)))
+@example(t=np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324]))
+def test_round_trip_bit_exact_for_any_float64(tmp_path, t):
+    path = tmp_path / "t.hot"
+    write_tensor(path, t)
+    back = read_tensor(path)
+    assert back.shape == t.shape
+    assert back.tobytes() == t.tobytes()

@@ -24,6 +24,7 @@ from hot.model import (
     rotary_encode,
     rotary_tables,
 )
+from hot.train import SyntheticTaskSpec, gen_synthetic, train_model
 from oracles import materialized_sublayer
 
 
@@ -39,6 +40,26 @@ def small_config(variant="factored-softmax", mask=(), rotary_modes=(0,), pooling
         num_blocks=blocks,
         head=HeadConfig(task="forecast", pooling=pooling, horizon=3, n_series=2),
     )
+
+
+# the forecast and voxel models that training runs; the voxel one at a small volume
+TRAINING_CONFIGS = pytest.mark.parametrize("cfg", [
+    # the forecast training configuration: factored softmax, mean head
+    ModelConfig(
+        raw_dims=(32, 8), patch=PatchEmbedConfig((4, 1)), rotary=RotaryConfig(modes=(0, 1)),
+        block=HOTBlockConfig(dims=(8, 8), d_model=32, heads=4, ffn_dim=64),
+        num_blocks=1, head=HeadConfig(task="forecast", pooling="mean", horizon=4, n_series=8),
+    ),
+    # the voxel model: factored linear over three modes, flatten head
+    ModelConfig(
+        raw_dims=(8, 8, 8), patch=PatchEmbedConfig((2, 2, 2)),
+        rotary=RotaryConfig(modes=(0, 1, 2)),
+        block=HOTBlockConfig(dims=(4, 4, 4), d_model=16, heads=2, ffn_dim=32,
+                             variant="factored-linear",
+                             feature_spec=FeatureMapSpec(16, 8, seed=11)),
+        num_blocks=1, head=HeadConfig(task="classify", pooling="flatten", num_classes=2),
+    ),
+], ids=["forecast", "voxel"])
 
 
 class TestRotary:
@@ -287,23 +308,7 @@ class TestModelForward:
         }
         assert len(set(counts.values())) == 1, counts
 
-    @pytest.mark.parametrize("cfg", [
-        # the forecast training configuration: factored softmax, mean head
-        ModelConfig(
-            raw_dims=(32, 8), patch=PatchEmbedConfig((4, 1)), rotary=RotaryConfig(modes=(0, 1)),
-            block=HOTBlockConfig(dims=(8, 8), d_model=32, heads=4, ffn_dim=64),
-            num_blocks=1, head=HeadConfig(task="forecast", pooling="mean", horizon=4, n_series=8),
-        ),
-        # the voxel model: factored linear over three modes, flatten head
-        ModelConfig(
-            raw_dims=(8, 8, 8), patch=PatchEmbedConfig((2, 2, 2)),
-            rotary=RotaryConfig(modes=(0, 1, 2)),
-            block=HOTBlockConfig(dims=(4, 4, 4), d_model=16, heads=2, ffn_dim=32,
-                                 variant="factored-linear",
-                                 feature_spec=FeatureMapSpec(16, 8, seed=11)),
-            num_blocks=1, head=HeadConfig(task="classify", pooling="flatten", num_classes=2),
-        ),
-    ], ids=["forecast", "voxel"])
+    @TRAINING_CONFIGS
     def test_predict_leaves_no_reference_cycles(self, cfg):
         # a cycle would keep each call's activations alive until the cyclic collector runs
         model = HOTModel.initialize(cfg, seed=0)
@@ -312,6 +317,26 @@ class TestModelForward:
         gc.disable()
         try:
             model.predict(x)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    @TRAINING_CONFIGS
+    def test_training_leaves_no_reference_cycles(self, cfg):
+        # each step's graph must be freed when its tape is rebound, not by the collector
+        if cfg.head.task == "forecast":
+            task = SyntheticTaskSpec(kind="separable-spatiotemporal-forecast", n_train=8, n_val=4,
+                                     t_len=cfg.raw_dims[0], n_series=cfg.raw_dims[1],
+                                     horizon=cfg.head.horizon)
+        else:
+            task = SyntheticTaskSpec(kind="cross-mode-voxel-classify", n_train=8, n_val=4,
+                                     volume=cfg.raw_dims, num_classes=cfg.head.num_classes)
+        data = gen_synthetic(task)
+        model = HOTModel.initialize(cfg, seed=0)
+        gc.collect()
+        gc.disable()
+        try:
+            train_model(model, data, steps=3, batch_size=4, seed=0, eval_every=2)
             assert gc.collect() == 0
         finally:
             gc.enable()
