@@ -1,7 +1,7 @@
 """Verification and benchmark command line.
 
     hot <equiv|gradcheck|kronrank|bench|ablate|train> [--config FILE]
-        [--seed N] [--out DIR] [--cap N]
+        [--seed N] [--out DIR]
 
 Each command reads one JSON config document (unknown keys are rejected),
 writes CSV reports plus a ``<command>_summary.json`` with per-assertion
@@ -77,7 +77,6 @@ DEFAULTS = {
         "seeds": [0, 1, 2],
         "tolerance": 1e-10,
         "reduction_tolerance": 1e-12,
-        "oracle_cap": 4096,
         "feature_count": 64,
     },
     "gradcheck": {
@@ -320,8 +319,7 @@ def cmd_equiv(config: dict, out_dir: Path) -> int:
             spec = _feature_spec(config, w.d_head, seed)
             for name, out in (
                 ("reduction-factored-softmax", attention_sublayer(x, w, "factored-softmax")),
-                ("reduction-full-softmax",
-                 full_high_order_attention(x, w, oracle_cap=int(config["oracle_cap"]))),
+                ("reduction-full-softmax", full_high_order_attention(x, w)),
             ):
                 err = float(np.abs(out - ref).max())
                 rows.append([name, "7", heads, seed, err, red_tol,
@@ -809,13 +807,12 @@ def cmd_train(config: dict, out_dir: Path) -> int:
     mcfg = _build_model_config(config, config["mask"], config["variant"], int(config["heads"]))
     data = gen_synthetic(_task_spec(config, int(config["task_seed"])))
     model = HOTModel.initialize(mcfg, seed=int(config["seed"]))
-    log_rows = []
     res = train_model(model, data, steps=int(config["steps"]),
                       batch_size=int(config["batch_size"]), lr=float(config["lr"]),
-                      seed=int(config["seed"]), eval_every=25, log_rows=log_rows)
+                      seed=int(config["seed"]), eval_every=25)
     write_csv(out_dir / "train_log.csv",
               ["step", "train_loss", "val_mse", "val_mae", "seconds"],
-              [list(r) for r in log_rows])
+              [list(r) for r in res.history])
     if config["checkpoint"]:
         model.save(out_dir / "checkpoint")
     report.check("training ran to completion", True, res.final_train_mse)
@@ -848,7 +845,6 @@ def main(argv=None) -> int:
     parser.add_argument("--config", default=None, help="JSON config file")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed(s)")
     parser.add_argument("--out", default="hot-out", help="output directory")
-    parser.add_argument("--cap", type=int, default=None, help="override the oracle cap")
     args = parser.parse_args(argv)
 
     overrides = {}
@@ -856,8 +852,6 @@ def main(argv=None) -> int:
         overrides["seed"] = args.seed
         overrides["seeds"] = [args.seed]
         overrides["task_seed"] = args.seed
-    if args.cap is not None:
-        overrides["oracle_cap"] = args.cap
 
     try:
         config = load_config(args.command, args.config, overrides)

@@ -140,19 +140,6 @@ def _fold_factor(vec: np.ndarray, n: int) -> np.ndarray:
     return np.ascontiguousarray(vec.reshape(n, n))
 
 
-def _cp_reconstruct(factors: list[np.ndarray]) -> np.ndarray:
-    """Dense tensor from CP factor matrices (columns are rank-one components)."""
-    rank = factors[0].shape[1]
-    shape = tuple(f.shape[0] for f in factors)
-    out = np.zeros(shape)
-    for r in range(rank):
-        comp = factors[0][:, r]
-        for f in factors[1:]:
-            comp = np.multiply.outer(comp, f[:, r])
-        out += comp
-    return out
-
-
 def _khatri_rao(mats: list[np.ndarray]) -> np.ndarray:
     """Column-wise Kronecker product; first matrix's rows vary slowest."""
     out = mats[0]
@@ -179,7 +166,7 @@ def _als_sweep_loop(t: np.ndarray, factors: list[np.ndarray], norm_t: float,
             # lstsq still minimizes the true objective, so sweeps never
             # increase the residual
             factors[i] = np.linalg.lstsq(gram.T, rhs.T, rcond=None)[0].T
-        residual = np.linalg.norm(t - _cp_reconstruct(factors)) / norm_t
+        residual = np.linalg.norm(t - _khatri_rao(factors).sum(axis=1).reshape(t.shape)) / norm_t
         if abs(prev - residual) < tol:
             return factors, residual, True, sweep
         prev = residual

@@ -7,9 +7,12 @@ sublayer picked from the four variants, all implemented once, in
 
     raw input -> patch embedding -> B blocks -> pooling head -> task output
 
-with rotary phases added to queries/keys (per enabled mode, before pooling)
-and a mean or flatten pooling head feeding an affine map to forecast values or
-class logits.
+with rotary phases on queries and keys before pooling, and a mean or flatten
+pooling head feeding an affine map to forecast values or class logits.  The
+rotary phases turn feature pair j of the token at position ``pos`` by
+``sum_m pos_m * base**(-2j/E)`` over the rotary modes m: RoFormer's rotation
+with the angles of the modes summed, built once per shape by
+:func:`_rotary_table` and applied by :func:`_rotary_v`.
 
 Forward passes run on the autodiff tape, so the same code path serves
 training and inference; all parameters live in a flat name -> array dict.
@@ -167,61 +170,45 @@ class ModelConfig:
 # rotary phases
 
 
-def rotary_tables(n_positions: int, d_head: int, base: float) -> tuple[np.ndarray, np.ndarray]:
-    """Cosine/sine tables of shape (n_positions, d_head), pairwise duplicated."""
-    if d_head % 2 != 0:
-        raise ValueError("rotary phases need an even head dimension")
-    freqs = base ** (-np.arange(0, d_head, 2) / d_head)
-    angles = np.arange(n_positions)[:, None] * freqs[None, :]
-    cos = np.repeat(np.cos(angles), 2, axis=1)
-    sin = np.repeat(np.sin(angles), 2, axis=1)
-    return cos, sin
-
-
 @functools.lru_cache(maxsize=32)
 def _rotary_table(modes: tuple[int, ...], base: float, token_dims: tuple[int, ...],
                   d_head: int) -> tuple[np.ndarray, np.ndarray]:
-    """Cosine and signed sine over the token grid, shaped (*token_dims, d_head).
+    """Cosine and signed sine of the summed angles, shaped like (*token_dims, d_head).
 
-    Rotations of the same feature pair add their angles, so the per-mode
-    phases compose into one table: the product of unit phases cos + i sin.
-    Axes of modes without rotary have length 1.  The sine carries the sign
+    Pair j at position ``pos`` turns by ``sum_m pos_m * base**(-2j/E)`` over
+    the rotary modes m; axes of the other modes have length 1.  Each angle is
+    repeated for both entries of its pair, and the sine carries the sign
     pattern (-s, +s) of :func:`hot.autodiff.rotate_pairs`.  Read-only, since
     the cache hands the same arrays to every caller.
     """
     k = len(token_dims)
-    phase = np.ones((1,) * k + (d_head,), dtype=np.complex128)
+    freqs = base ** (-np.arange(0, d_head, 2) / d_head)
+    pos = np.zeros((1,) * k, dtype=np.int64)
     for m in modes:
-        cos, sin = rotary_tables(token_dims[m], d_head, base)
-        shape = [1] * k + [d_head]
+        shape = [1] * k
         shape[m] = token_dims[m]
-        phase = phase * (cos + 1j * sin).reshape(shape)
-    cos = np.ascontiguousarray(phase.real)
-    sin = phase.imag * np.tile([-1.0, 1.0], d_head // 2)
+        pos = pos + np.arange(token_dims[m]).reshape(shape)
+    theta = pos[..., None] * freqs
+    cos = np.repeat(np.cos(theta), 2, axis=-1)
+    sin = np.repeat(np.sin(theta), 2, axis=-1) * np.tile([-1.0, 1.0], d_head // 2)
     cos.flags.writeable = False
     sin.flags.writeable = False
     return cos, sin
 
 
-def rotary_encode(t: np.ndarray, cfg: RotaryConfig) -> np.ndarray:
-    """Rotate feature pairs of an order-(k+1) tensor by position-dependent phases.
-
-    Positions along each enabled mode advance the angle; position 0 is the
-    identity rotation, and each rotation is an isometry of the feature pairs.
-    """
-    t = as_tensor(t)
-    return _rotary_v(ad.constant(t), cfg, t.shape[:-1], lead=0).value
-
-
 def _rotary_v(t: Var, cfg: RotaryConfig, token_dims: tuple[int, ...], lead: int = 1) -> Var:
-    """Batched Var version of :func:`rotary_encode`; token modes start at ``lead``.
+    """Rotate the feature pairs of ``t`` by their token positions' summed angles.
 
-    One tape node for all modes, from the cached table of summed angles.
+    ``t`` is (*lead axes, *token_dims, E) with token modes starting at axis
+    ``lead``; position 0 is the identity and every rotation is an isometry.
+    One tape node for all modes, from the cached :func:`_rotary_table`.
     """
     if not cfg.modes:
         return t
     if t.shape[lead:-1] != tuple(token_dims):
         raise ValueError(f"token axes {t.shape[lead:-1]} != token dims {tuple(token_dims)}")
+    if t.shape[-1] % 2 != 0:
+        raise ValueError("rotary phases need an even head dimension")
     cos, sin = _rotary_table(tuple(cfg.modes), float(cfg.base), tuple(token_dims), t.shape[-1])
     return ad.rotate_pairs(t, cos, sin)
 
@@ -302,16 +289,14 @@ def attention_sublayer_v(x: Var, cfg: HOTBlockConfig, rotary: RotaryConfig,
     q = _rotary_v(q, rotary, cfg.dims, lead=2)
     kt = _rotary_v(kt, rotary, cfg.dims, lead=2)
 
-    if cfg.variant == "factored-softmax":
+    if cfg.variant.startswith("factored"):
         for i in cfg.enabled_modes:
             qt = _pooled(q, 2 + i, cfg.pooling)
             kk = _pooled(kt, 2 + i, cfg.pooling)
-            p = ops.batched_mode_apply_v(p, ad.softmax_last(_scores(qt, kk)), 2 + i, lead=2)
-    elif cfg.variant == "factored-linear":
-        for i in cfg.enabled_modes:
-            qt = _pooled(q, 2 + i, cfg.pooling)
-            kk = _pooled(kt, 2 + i, cfg.pooling)
-            p = ops.kernelized_mode_apply_v(p, qt, kk, 2 + i, cfg.feature_spec, omega, lead=2)
+            if cfg.variant == "factored-softmax":
+                p = ops.batched_mode_apply_v(p, ad.softmax_last(_scores(qt, kk)), 2 + i, lead=2)
+            else:
+                p = ops.kernelized_mode_apply_v(p, qt, kk, 2 + i, cfg.feature_spec, omega, lead=2)
     elif cfg.variant == "full-softmax":
         qf, kf, pf = _flatten_tokens(q), _flatten_tokens(kt), _flatten_tokens(p)
         pf = ad.matmul(ad.softmax_last(_scores(qf, kf)), pf)

@@ -40,15 +40,13 @@ def check_shape(dims) -> tuple[int, ...]:
     return dims
 
 
-def as_tensor(data, order: int | None = None) -> np.ndarray:
+def as_tensor(data) -> np.ndarray:
     """Coerce ``data`` to a C-contiguous float64 array and validate it.
 
     Parameters
     ----------
     data : array_like
         Input values.
-    order : int, optional
-        If given, require the tensor to have exactly this many modes.
 
     Returns
     -------
@@ -57,8 +55,6 @@ def as_tensor(data, order: int | None = None) -> np.ndarray:
     """
     t = np.ascontiguousarray(data, dtype=np.float64)
     check_shape(t.shape)
-    if order is not None and t.ndim != order:
-        raise ValueError(f"expected order-{order} tensor, got order {t.ndim}")
     if not np.all(np.isfinite(t)):
         raise ValueError("tensor contains non-finite entries")
     return t

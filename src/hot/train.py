@@ -375,8 +375,7 @@ def model_loss(model: HOTModel, x: np.ndarray, y: np.ndarray,
 
 
 def train_model(model: HOTModel, data: Dataset, steps: int, batch_size: int = 32,
-                lr: float = 2e-3, seed: int = 0, eval_every: int = 50,
-                log_rows: list | None = None) -> TrainResult:
+                lr: float = 2e-3, seed: int = 0, eval_every: int = 50) -> TrainResult:
     """Minibatch Adam training with periodic validation metrics.
 
     Both the lowest-val-MAE and lowest-val-MSE selection steps are reported so
@@ -408,10 +407,7 @@ def train_model(model: HOTModel, data: Dataset, steps: int, batch_size: int = 32
                 best_mae = (v_mae, step)
             if v_mse < best_mse[0]:
                 best_mse = (v_mse, step)
-            row = (step, float(loss.value), v_mse, v_mae, time.perf_counter() - start)
-            history.append(row)
-            if log_rows is not None:
-                log_rows.append(row)
+            history.append((step, float(loss.value), v_mse, v_mae, time.perf_counter() - start))
     train_pred = model.predict(data.train_x)
     if model.config.head.task == "forecast":
         final_train = mse(train_pred, data.train_y)

@@ -123,6 +123,15 @@ class TestConfig:
         assert run_cli(["bench", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert "config error:" in capsys.readouterr().err
 
+    def test_no_oracle_cap_override(self, tmp_path):
+        # equiv's only capped call is the 7-token reduction row; no flag or key resizes it
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["equiv", "--cap", "3", "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        cfg = tmp_path / "cap.json"
+        cfg.write_text(json.dumps({"oracle_cap": 3}))
+        assert run_cli(["equiv", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+
 
 @pytest.fixture
 def small_equiv_config(tmp_path):

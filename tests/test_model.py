@@ -2,6 +2,7 @@
 
 import gc
 import json
+import math
 
 import numpy as np
 import pytest
@@ -20,9 +21,8 @@ from hot.model import (
     RotaryConfig,
     VARIANTS,
     attention_sublayer,
+    _rotary_v,
     patchify,
-    rotary_encode,
-    rotary_tables,
 )
 from hot.train import SyntheticTaskSpec, gen_synthetic, train_model
 from oracles import materialized_sublayer
@@ -62,17 +62,23 @@ TRAINING_CONFIGS = pytest.mark.parametrize("cfg", [
 ], ids=["forecast", "voxel"])
 
 
+def rotate(t, modes, lead=0, base=10000.0):
+    """``_rotary_v`` on constant values, for a tensor whose token axes start at ``lead``."""
+    cfg = RotaryConfig(modes=modes, base=base)
+    return _rotary_v(ad.constant(t), cfg, t.shape[lead:-1], lead=lead).value
+
+
 class TestRotary:
     def test_position_zero_is_identity(self):
         rng = np.random.default_rng(0)
         t = rng.standard_normal((5, 4))
-        out = rotary_encode(t, RotaryConfig(modes=(0,)))
+        out = rotate(t, (0,))
         assert np.abs(out[0] - t[0]).max() <= 1e-15
 
     def test_norm_preserved(self):
         rng = np.random.default_rng(1)
         t = rng.standard_normal((6, 3, 4))
-        out = rotary_encode(t, RotaryConfig(modes=(0, 1)))
+        out = rotate(t, (0, 1))
         assert np.abs(
             np.linalg.norm(out, axis=-1) - np.linalg.norm(t, axis=-1)
         ).max() <= 1e-12
@@ -82,10 +88,9 @@ class TestRotary:
         rng = np.random.default_rng(2)
         q = rng.standard_normal(4)
         k = rng.standard_normal(4)
-        cfg = RotaryConfig(modes=(0,))
         n = 8
-        stack_q = rotary_encode(np.tile(q, (n, 1)), cfg)
-        stack_k = rotary_encode(np.tile(k, (n, 1)), cfg)
+        stack_q = rotate(np.tile(q, (n, 1)), (0,))
+        stack_k = rotate(np.tile(k, (n, 1)), (0,))
         dots = {}
         for p1 in range(n):
             for p2 in range(n):
@@ -95,21 +100,31 @@ class TestRotary:
 
     def test_odd_head_dim_rejected(self):
         with pytest.raises(ValueError):
-            rotary_tables(4, 5, 10000.0)
+            rotate(np.zeros((4, 5)), (0,))
 
     def test_batched_matches_unbatched(self):
-        from hot.model import _rotary_v
-
         rng = np.random.default_rng(3)
         t = rng.standard_normal((2, 5, 3, 4))
-        cfg = RotaryConfig(modes=(0, 1))
-        out = _rotary_v(ad.constant(t), cfg, (5, 3)).value
+        out = rotate(t, (0, 1), lead=1)
         for b in range(2):
-            assert np.abs(out[b] - rotary_encode(t[b], cfg)).max() <= 1e-12
+            assert np.abs(out[b] - rotate(t[b], (0, 1))).max() <= 1e-12
+
+    def test_angles_match_plain_loop(self):
+        # pair j at position pos turns by sum over rotary modes of pos_m * base**(-2j/E)
+        dims, modes, e, base = (3, 4, 2), (0, 2), 6, 100.0
+        rng = np.random.default_rng(4)
+        t = rng.standard_normal(dims + (e,))
+        out = rotate(t, modes, base=base)
+        ref = np.empty_like(t)
+        for pos in np.ndindex(*dims):
+            for j in range(e // 2):
+                theta = sum(pos[m] for m in modes) * base ** (-2 * j / e)
+                x, y = t[pos][2 * j], t[pos][2 * j + 1]
+                ref[pos][2 * j] = x * math.cos(theta) - y * math.sin(theta)
+                ref[pos][2 * j + 1] = y * math.cos(theta) + x * math.sin(theta)
+        assert np.abs(out - ref).max() <= 1e-13
 
     def test_token_dims_must_match_token_axes(self):
-        from hot.model import _rotary_v
-
         t = ad.constant(np.zeros((2, 5, 3, 4)))
         with pytest.raises(ValueError):
             _rotary_v(t, RotaryConfig(modes=(0, 1)), (3, 5))

@@ -175,10 +175,6 @@ class TestValidation:
         with pytest.raises(ValueError):
             as_tensor(np.zeros((2, 0)))
 
-    def test_order_check(self):
-        with pytest.raises(ValueError):
-            as_tensor(np.zeros((2, 2)), order=3)
-
     def test_size1_dims_are_legal(self):
         t = as_tensor(np.zeros((1, 3, 1)))
         assert matricize(t, 1).shape == (3, 1)
