@@ -1,10 +1,18 @@
 """Minimal reverse-mode tape over numpy arrays.
 
-Every operation produces a fresh ``Var`` and appends one backward closure to
-the owning tape, so replaying the tape in reverse visits each recorded
-operation exactly once.  Gradients accumulate into ``Var.grad`` buffers with
-the same shape as the primal values.  Constants (``requires_grad=False``)
-record nothing.
+A ``Var`` is tracked exactly when it was made on a tape: a leaf from
+``Tape.var``, or the output of an op with a tracked operand.  Constants hold
+no tape and record nothing.
+
+Every op records the same way.  ``_operands`` finds the recording tape (that
+of the first tracked operand) and turns plain arrays into constants; the op
+computes its value and hands it to ``_node`` with a closure ``backward(g)``
+that accumulates the adjoint ``g`` into its tracked operands.  ``_node``
+returns a constant when no operand is tracked; otherwise it makes the output
+on the tape and records one node, which calls ``backward(out.grad)`` only if
+an adjoint reached the output.  Replaying the tape in reverse visits each
+recorded op exactly once.  Gradients accumulate into ``Var.grad`` buffers with
+the same shape as the primal values.
 
 Adjoints are shared, not copied: a ``Var`` may keep as its ``grad`` a view or
 alias of another node's adjoint (a reshape, an add's pass-through, a
@@ -75,10 +83,10 @@ class Tape:
         self._leaves = []
         self._consumed = False
 
-    def var(self, value, requires_grad: bool = True) -> "Var":
-        v = Var(np.asarray(value, dtype=np.float64), self, requires_grad)
-        if requires_grad:
-            self._leaves.append(v)
+    def var(self, value) -> "Var":
+        """A tracked leaf; ``backward`` leaves its gradient in ``grad``."""
+        v = Var(value, self)
+        self._leaves.append(v)
         return v
 
     def record(self, fn) -> None:
@@ -104,16 +112,18 @@ class Tape:
 class Var:
     """A value in the computation graph; ``grad`` is filled by ``Tape.backward``."""
 
-    __slots__ = ("value", "grad", "owns_grad", "_tape", "requires_grad")
+    __slots__ = ("value", "grad", "owns_grad", "_tape")
 
-    def __init__(self, value: np.ndarray, tape: Tape | None, requires_grad: bool):
-        if requires_grad and tape is None:
-            raise ValueError("a tracked Var needs a tape")
+    def __init__(self, value: np.ndarray, tape: Tape | None):
         self.value = np.asarray(value, dtype=np.float64)
         self.grad = None
         self.owns_grad = False  # True once ``grad`` is a buffer no one else holds
         self._tape = None if tape is None else weakref.ref(tape)
-        self.requires_grad = requires_grad
+
+    @property
+    def requires_grad(self) -> bool:
+        """Whether this Var was made on a tape (a constant holds none)."""
+        return self._tape is not None
 
     @property
     def tape(self) -> Tape | None:
@@ -126,24 +136,44 @@ class Var:
 
 
 def constant(value) -> Var:
-    return Var(np.asarray(value, dtype=np.float64), None, False)
+    return Var(value, None)
 
 
-def _lift(x, tape) -> Var:
-    if isinstance(x, Var):
-        return x
-    return Var(np.asarray(x, dtype=np.float64), tape, False)
+def _operands(*xs) -> tuple[Tape | None, list[Var]]:
+    """The tape of the first tracked operand, and every operand as a ``Var``.
 
-
-def _tape_of(*xs) -> Tape | None:
+    Plain arrays become constants.  The tape is None when no operand is tracked.
+    """
+    tape = None
+    out = []
     for x in xs:
-        if isinstance(x, Var) and x._tape is not None:
+        if not isinstance(x, Var):
+            x = constant(x)
+        elif tape is None and x._tape is not None:
             tape = x._tape()
             if tape is None:
                 raise ValueError("an operand's tape has been freed; keep the Tape alive "
                                  "until its graph is no longer used")
-            return tape
-    return None
+        out.append(x)
+    return tape, out
+
+
+def _node(value: np.ndarray, tape: Tape | None, backward) -> Var:
+    """The output ``Var`` of one op, recorded on ``tape`` unless it is None.
+
+    ``tape`` comes from ``_operands``, so it is None exactly when no operand is
+    tracked, and the output is then a constant.  Otherwise the recorded node
+    calls ``backward(out.grad)`` once an adjoint has reached the output.
+    """
+    if tape is None:
+        return constant(value)
+    out = Var(value, tape)
+
+    def node():
+        if out.grad is not None:
+            backward(out.grad)
+    tape.record(node)
+    return out
 
 
 def _accum(x: Var, g: np.ndarray, owned: bool = False) -> None:
@@ -175,20 +205,14 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 def _binary(a, b, fwd, bwd_a, bwd_b, owned: bool = False):
-    tape = _tape_of(a, b)
-    a = _lift(a, tape)
-    b = _lift(b, tape)
-    out = Var(fwd(a.value, b.value), tape, a.requires_grad or b.requires_grad)
-    if out.requires_grad:
-        def backward():
-            if out.grad is None:
-                return
-            if a.requires_grad:
-                _accum(a, _unbroadcast(bwd_a(out.grad, a.value, b.value), a.shape), owned)
-            if b.requires_grad:
-                _accum(b, _unbroadcast(bwd_b(out.grad, a.value, b.value), b.shape), owned)
-        tape.record(backward)
-    return out
+    tape, (a, b) = _operands(a, b)
+
+    def backward(g):
+        if a.requires_grad:
+            _accum(a, _unbroadcast(bwd_a(g, a.value, b.value), a.shape), owned)
+        if b.requires_grad:
+            _accum(b, _unbroadcast(bwd_b(g, a.value, b.value), b.shape), owned)
+    return _node(fwd(a.value, b.value), tape, backward)
 
 
 def add(a, b) -> Var:
@@ -205,15 +229,8 @@ def mul(a, b) -> Var:
 
 
 def _unary(a, fwd, bwd, owned: bool = False):
-    tape = _tape_of(a)
-    a = _lift(a, tape)
-    out = Var(fwd(a.value), tape, a.requires_grad)
-    if out.requires_grad:
-        def backward():
-            if out.grad is None:
-                return
-            _accum(a, bwd(out.grad, a.value, out.value), owned)
-        tape.record(backward)
+    tape, (a,) = _operands(a)
+    out = _node(fwd(a.value), tape, lambda g: _accum(a, bwd(g, a.value, out.value), owned))
     return out
 
 
@@ -239,19 +256,14 @@ def clip_min(a, floor: float) -> Var:
 
 def gelu(a) -> Var:
     """Exact Gaussian-error-linear unit: x * Phi(x)."""
-    tape = _tape_of(a)
-    a = _lift(a, tape)
+    tape, (a,) = _operands(a)
     x = a.value
     cdf = ndtr(x)  # Phi(x) = (1 + erf(x / sqrt(2))) / 2, reused by the adjoint
-    out = Var(x * cdf, tape, a.requires_grad)
-    if out.requires_grad:
-        def backward():
-            if out.grad is None:
-                return
-            pdf = _INV_SQRT2PI * np.exp(-0.5 * x * x)
-            _accum(a, out.grad * (cdf + x * pdf), owned=True)
-        tape.record(backward)
-    return out
+
+    def backward(g):
+        pdf = _INV_SQRT2PI * np.exp(-0.5 * x * x)
+        _accum(a, g * (cdf + x * pdf), owned=True)
+    return _node(x * cdf, tape, backward)
 
 
 def _row_dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -261,32 +273,26 @@ def _row_dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def layer_norm_last(a, gamma, beta, eps: float) -> Var:
     """Normalize the last axis to zero mean and unit variance, then scale and shift."""
-    tape = _tape_of(a, gamma, beta)
-    a, gamma, beta = (_lift(v, tape) for v in (a, gamma, beta))
+    tape, (a, gamma, beta) = _operands(a, gamma, beta)
     n = a.shape[-1]
     xhat = a.value - a.value.mean(axis=-1, keepdims=True)
     rstd = 1.0 / np.sqrt(_row_dot(xhat, xhat) / n + eps)
     xhat *= rstd
     y = xhat * gamma.value
     y += beta.value
-    out = Var(y, tape, a.requires_grad or gamma.requires_grad or beta.requires_grad)
-    if out.requires_grad:
-        def backward():
-            if out.grad is None:
-                return
-            g = out.grad
-            if a.requires_grad:
-                gy = g * gamma.value
-                dx = gy - gy.mean(axis=-1, keepdims=True)
-                dx -= xhat * (_row_dot(gy, xhat) / n)
-                dx *= rstd
-                _accum(a, dx, owned=True)
-            if gamma.requires_grad:
-                _accum(gamma, _unbroadcast(g * xhat, gamma.shape), owned=True)
-            if beta.requires_grad:
-                _accum(beta, _unbroadcast(g, beta.shape))
-        tape.record(backward)
-    return out
+
+    def backward(g):
+        if a.requires_grad:
+            gy = g * gamma.value
+            dx = gy - gy.mean(axis=-1, keepdims=True)
+            dx -= xhat * (_row_dot(gy, xhat) / n)
+            dx *= rstd
+            _accum(a, dx, owned=True)
+        if gamma.requires_grad:
+            _accum(gamma, _unbroadcast(g * xhat, gamma.shape), owned=True)
+        if beta.requires_grad:
+            _accum(beta, _unbroadcast(g, beta.shape))
+    return _node(y, tape, backward)
 
 
 def _swap_pairs(x: np.ndarray) -> np.ndarray:
@@ -305,17 +311,9 @@ def rotate_pairs(a, cos: np.ndarray, sin: np.ndarray) -> Var:
     pattern (-s, +s).  The adjoint is the inverse rotation,
     ``g * cos + swap(g * sin)``.
     """
-    tape = _tape_of(a)
-    a = _lift(a, tape)
-    out = Var(a.value * cos + _swap_pairs(a.value) * sin, tape, a.requires_grad)
-    if out.requires_grad:
-        def backward():
-            if out.grad is None:
-                return
-            g = out.grad
-            _accum(a, g * cos + _swap_pairs(g * sin), owned=True)
-        tape.record(backward)
-    return out
+    tape, (a,) = _operands(a)
+    return _node(a.value * cos + _swap_pairs(a.value) * sin, tape,
+                 lambda g: _accum(a, g * cos + _swap_pairs(g * sin), owned=True))
 
 
 def reshape(a, shape) -> Var:
@@ -334,33 +332,24 @@ def transpose(a, axes) -> Var:
 
 
 def sum_axes(a, axes=None, keepdims: bool = False) -> Var:
-    tape = _tape_of(a)
-    a = _lift(a, tape)
+    tape, (a,) = _operands(a)
     if axes is None:
         axes = tuple(range(a.value.ndim))
     elif isinstance(axes, int):
         axes = (axes,)
     else:
         axes = tuple(axes)
-    out = Var(a.value.sum(axis=axes, keepdims=keepdims), tape, a.requires_grad)
-    if out.requires_grad:
-        in_shape = a.shape
 
-        def backward():
-            if out.grad is None:
-                return
-            g = out.grad
-            if not keepdims:
-                for ax in sorted(axes):
-                    g = np.expand_dims(g, ax)
-            _accum(a, np.broadcast_to(g, in_shape))
-        tape.record(backward)
-    return out
+    def backward(g):
+        if not keepdims:
+            g = np.expand_dims(g, axes)
+        _accum(a, np.broadcast_to(g, a.shape))
+    return _node(a.value.sum(axis=axes, keepdims=keepdims), tape, backward)
 
 
 def mean_all(a) -> Var:
-    a_var = a if isinstance(a, Var) else constant(a)
-    return scale(sum_axes(a_var), 1.0 / a_var.value.size)
+    _, (a,) = _operands(a)
+    return scale(sum_axes(a), 1.0 / a.value.size)
 
 
 def matmul(a, b, ta: bool = False, tb: bool = False) -> Var:
@@ -370,39 +359,28 @@ def matmul(a, b, ta: bool = False, tb: bool = False) -> Var:
     axes must match exactly, except that a 2-D ``b`` broadcasts across all
     leading axes of ``a`` (the usual shared-weight case).
     """
-    tape = _tape_of(a, b)
-    a = _lift(a, tape)
-    b = _lift(b, tape)
+    tape, (a, b) = _operands(a, b)
     av, bv = a.value, b.value
     lhs = av.swapaxes(-1, -2) if ta else av
     rhs = bv.swapaxes(-1, -2) if tb else bv
-    out = Var(np.matmul(lhs, rhs), tape, a.requires_grad or b.requires_grad)
-    if out.requires_grad:
-        b_broadcast = bv.ndim == 2 and av.ndim > 2
 
-        def backward():
-            if out.grad is None:
-                return
-            g = out.grad
-            if a.requires_grad:
-                # y = A @ B with A = a^T(a) etc.; undo the transposes
-                if ta:
-                    da = np.matmul(rhs, g.swapaxes(-1, -2))
-                else:
-                    da = np.matmul(g, rhs.swapaxes(-1, -2))
-                _accum(a, da, owned=True)
-            if b.requires_grad:
-                if b_broadcast:
-                    lhs2 = lhs.reshape(-1, lhs.shape[-1])
-                    g2 = g.reshape(-1, g.shape[-1])
-                    db = lhs2.T @ g2
-                else:
-                    db = np.matmul(lhs.swapaxes(-1, -2), g)
-                if tb:
-                    db = db.swapaxes(-1, -2)
-                _accum(b, db, owned=True)
-        tape.record(backward)
-    return out
+    def backward(g):
+        if a.requires_grad:
+            # y = A @ B with A = a^T(a) etc.; undo the transposes
+            if ta:
+                da = np.matmul(rhs, g.swapaxes(-1, -2))
+            else:
+                da = np.matmul(g, rhs.swapaxes(-1, -2))
+            _accum(a, da, owned=True)
+        if b.requires_grad:
+            if bv.ndim == 2 and av.ndim > 2:
+                db = lhs.reshape(-1, lhs.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+            else:
+                db = np.matmul(lhs.swapaxes(-1, -2), g)
+            if tb:
+                db = db.swapaxes(-1, -2)
+            _accum(b, db, owned=True)
+    return _node(np.matmul(lhs, rhs), tape, backward)
 
 
 def apply_along(s, t, axis: int, lead: int = 1) -> Var:
@@ -414,9 +392,7 @@ def apply_along(s, t, axis: int, lead: int = 1) -> Var:
     ``d`` at ``axis``.  The adjoints are ``s^T`` applied the same way, and
     ``g @ t^T`` summed over ``pre``.
     """
-    tape = _tape_of(s, t)
-    s = _lift(s, tape)
-    t = _lift(t, tape)
+    tape, (s, t) = _operands(s, t)
     if not lead <= axis < t.value.ndim:
         raise ValueError(f"axis {axis} lies outside the {t.value.ndim - lead} axes after "
                          f"{lead} leading batch axes")
@@ -430,73 +406,44 @@ def apply_along(s, t, axis: int, lead: int = 1) -> Var:
     sv = s.value[..., None, :, :]
     t3 = t.value.reshape(lead_shape + (pre, n, post))
     out_shape = shape[:axis] + (d,) + shape[axis + 1:]
-    out = Var(np.matmul(sv, t3).reshape(out_shape), tape, s.requires_grad or t.requires_grad)
-    if out.requires_grad:
-        def backward():
-            if out.grad is None:
-                return
-            g3 = out.grad.reshape(lead_shape + (pre, d, post))
-            if t.requires_grad:
-                _accum(t, np.matmul(sv.swapaxes(-1, -2), g3).reshape(shape), owned=True)
-            if s.requires_grad:
-                _accum(s, np.matmul(g3, t3.swapaxes(-1, -2)).sum(axis=-3), owned=True)
-        tape.record(backward)
-    return out
+
+    def backward(g):
+        g3 = g.reshape(lead_shape + (pre, d, post))
+        if t.requires_grad:
+            _accum(t, np.matmul(sv.swapaxes(-1, -2), g3).reshape(shape), owned=True)
+        if s.requires_grad:
+            _accum(s, np.matmul(g3, t3.swapaxes(-1, -2)).sum(axis=-3), owned=True)
+    return _node(np.matmul(sv, t3).reshape(out_shape), tape, backward)
 
 
 def concat_last(xs) -> Var:
     """Concatenate along the last axis; the adjoint slices gradients back."""
-    tape = _tape_of(*xs)
-    xs = [_lift(x, tape) for x in xs]
-    out = Var(np.concatenate([x.value for x in xs], axis=-1), tape,
-              any(x.requires_grad for x in xs))
-    if out.requires_grad:
-        widths = [x.shape[-1] for x in xs]
+    tape, xs = _operands(*xs)
 
-        def backward():
-            if out.grad is None:
-                return
-            offset = 0
-            for x, w in zip(xs, widths):
-                if x.requires_grad:
-                    _accum(x, out.grad[..., offset:offset + w])
-                offset += w
-        tape.record(backward)
-    return out
+    def backward(g):
+        offset = 0
+        for x in xs:
+            w = x.shape[-1]
+            if x.requires_grad:
+                _accum(x, g[..., offset:offset + w])
+            offset += w
+    return _node(np.concatenate([x.value for x in xs], axis=-1), tape, backward)
 
 
 def softmax_last(a) -> Var:
     """Softmax along the last axis, stabilized by max subtraction."""
-    tape = _tape_of(a)
-    a = _lift(a, tape)
+    tape, (a,) = _operands(a)
     shifted = a.value - a.value.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     p = e / e.sum(axis=-1, keepdims=True)
-    out = Var(p, tape, a.requires_grad)
-    if out.requires_grad:
-        def backward():
-            if out.grad is None:
-                return
-            g = out.grad
-            _accum(a, p * (g - (g * p).sum(axis=-1, keepdims=True)), owned=True)
-        tape.record(backward)
-    return out
+    return _node(p, tape,
+                 lambda g: _accum(a, p * (g - (g * p).sum(axis=-1, keepdims=True)), owned=True))
 
 
 def log_softmax_last(a) -> Var:
-    tape = _tape_of(a)
-    a = _lift(a, tape)
+    tape, (a,) = _operands(a)
     shifted = a.value - a.value.max(axis=-1, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    out_val = shifted - lse
-    out = Var(out_val, tape, a.requires_grad)
-    if out.requires_grad:
-        p = np.exp(out_val)
-
-        def backward():
-            if out.grad is None:
-                return
-            g = out.grad
-            _accum(a, g - p * g.sum(axis=-1, keepdims=True), owned=True)
-        tape.record(backward)
-    return out
+    out = shifted - lse
+    return _node(out, tape,
+                 lambda g: _accum(a, g - np.exp(out) * g.sum(axis=-1, keepdims=True), owned=True))

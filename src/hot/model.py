@@ -31,7 +31,7 @@ import numpy as np
 from . import autodiff as ad
 from . import diffops as ops
 from .attention import AttentionWeights, check_model_dims
-from .autodiff import Tape, Var
+from .autodiff import Var
 from .features import FeatureMapSpec, projection_matrix
 from .io import read_tensor, write_tensor
 from .tensor import as_tensor
@@ -397,22 +397,21 @@ class HOTModel:
     def parameter_count(self) -> int:
         return sum(p.size for p in self.params.values())
 
-    def forward(self, x_raw: np.ndarray, tape: Tape | None = None,
-                param_vars: dict[str, Var] | None = None) -> Var:
-        """Run the model; pass a tape (and optionally pre-made leaves) to track gradients."""
+    def forward(self, x_raw: np.ndarray, params: dict[str, Var] | None = None) -> Var:
+        """Run the model on ``params``, by default constants of ``self.params``.
+
+        Pass leaves made by ``Tape.var`` to track gradients.
+        """
         cfg = self.config
-        if param_vars is None:
-            if tape is None:
-                param_vars = {k: ad.constant(v) for k, v in self.params.items()}
-            else:
-                param_vars = {k: tape.var(v) for k, v in self.params.items()}
+        if params is None:
+            params = {k: ad.constant(v) for k, v in self.params.items()}
         if x_raw.shape[1:] != cfg.raw_dims:
             raise ValueError(f"raw input dims {x_raw.shape[1:]} != configured {cfg.raw_dims}")
 
         tokens = ad.constant(patchify(x_raw, cfg.patch.patch_sizes))
-        x = ops.affine_v(tokens, param_vars["patch.w"], param_vars["patch.b"])
+        x = ops.affine_v(tokens, params["patch.w"], params["patch.b"])
         for b in range(cfg.num_blocks):
-            x = block_forward_v(x, cfg.block, cfg.rotary, param_vars, f"block{b}")
+            x = block_forward_v(x, cfg.block, cfg.rotary, params, f"block{b}")
 
         if cfg.head.pooling == "mean":
             pooled = ad.scale(
@@ -421,7 +420,7 @@ class HOTModel:
             )
         else:
             pooled = ad.reshape(x, (x.shape[0], math.prod(cfg.token_dims) * cfg.block.d_model))
-        out = ops.affine_v(pooled, param_vars["head.w"], param_vars["head.b"])
+        out = ops.affine_v(pooled, params["head.w"], params["head.b"])
         if cfg.head.task == "forecast":
             out = ad.reshape(out, (x_raw.shape[0], cfg.head.horizon, cfg.head.n_series))
         return out
@@ -435,7 +434,7 @@ class HOTModel:
         """One tensor file per parameter plus a JSON manifest with the config."""
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
-        manifest = {"config": _config_to_dict(self.config), "params": {}}
+        manifest = {"config": asdict(self.config), "params": {}}
         for name, value in sorted(self.params.items()):
             fname = name.replace("/", "_") + ".hot"
             write_tensor(directory / fname, np.atleast_1d(value))
@@ -449,13 +448,17 @@ class HOTModel:
         The manifest must list exactly the parameters of
         ``initialize(config)``, each in a file directly inside ``directory``
         with the parameter's shape; otherwise ``ValueError`` names the
-        parameter.
+        parameter.  Missing or unknown manifest keys, and a ``config`` that is
+        not a JSON object, also raise ``ValueError``.
         """
         directory = Path(directory)
         manifest = json.loads((directory / "manifest.json").read_text())
-        config = _config_from_dict(manifest["config"])
+        try:
+            config = _config_from_dict(manifest["config"])
+            files = manifest["params"]
+        except (KeyError, TypeError) as e:
+            raise ValueError(f"malformed manifest in {directory}: {e!r}") from e
         expected = cls.initialize(config).params
-        files = manifest["params"]
         mismatched = sorted(set(expected) ^ set(files))
         if mismatched:
             name = mismatched[0]
@@ -472,10 +475,6 @@ class HOTModel:
                                  f"expected {expected[name].shape}")
             params[name] = value
         return cls(config, params)
-
-
-def _config_to_dict(config: ModelConfig) -> dict:
-    return asdict(config)
 
 
 def _config_from_dict(d: dict) -> ModelConfig:

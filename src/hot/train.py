@@ -366,7 +366,7 @@ def model_loss(model: HOTModel, x: np.ndarray, y: np.ndarray,
                tape: Tape) -> tuple[ad.Var, dict[str, ad.Var]]:
     """Forward plus task loss on the tape; returns (loss, parameter leaves)."""
     param_vars = {k: tape.var(v) for k, v in model.params.items()}
-    out = model.forward(x, tape, param_vars)
+    out = model.forward(x, param_vars)
     if model.config.head.task == "forecast":
         loss = mse_v(out, y)
     else:

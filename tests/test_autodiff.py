@@ -204,6 +204,88 @@ class TestTape:
         assert x.grad == pytest.approx(11.0)
 
 
+class CountingTape(Tape):
+    def __init__(self):
+        super().__init__()
+        self.recorded = 0
+
+    def record(self, fn):
+        self.recorded += 1
+        super().record(fn)
+
+
+def _arrays(*shapes):
+    rng = np.random.default_rng(21)
+    return [rng.uniform(0.5, 2.0, size=s) for s in shapes]
+
+
+# every primitive: (name, op over its array operands, operand shapes)
+_PRIMITIVES = [
+    ("add", ad.add, [(3, 4), (4,)]),
+    ("sub", ad.sub, [(3, 4), (3, 4)]),
+    ("mul", ad.mul, [(3, 4), (3, 1)]),
+    ("scale", lambda a: ad.scale(a, 2.0), [(3, 4)]),
+    ("exp", ad.exp, [(3, 4)]),
+    ("power", lambda a: ad.power(a, -0.5), [(3, 4)]),
+    ("clip_min", lambda a: ad.clip_min(a, 1.0), [(3, 4)]),
+    ("gelu", ad.gelu, [(3, 4)]),
+    ("layer_norm_last", lambda a, g, b: ad.layer_norm_last(a, g, b, 1e-5), [(3, 4), (4,), (4,)]),
+    ("rotate_pairs", lambda a: ad.rotate_pairs(a, np.ones(4), np.zeros(4)), [(3, 4)]),
+    ("reshape", lambda a: ad.reshape(a, (12,)), [(3, 4)]),
+    ("transpose", lambda a: ad.transpose(a, (1, 0)), [(3, 4)]),
+    ("sum_axes", lambda a: ad.sum_axes(a, 1), [(3, 4)]),
+    ("matmul", ad.matmul, [(2, 3, 4), (4, 5)]),
+    ("apply_along", lambda s, t: ad.apply_along(s, t, 1), [(2, 5, 3), (2, 3, 4)]),
+    ("concat_last", lambda *xs: ad.concat_last(xs), [(3, 2), (3, 4), (3, 1)]),
+    ("softmax_last", ad.softmax_last, [(3, 4)]),
+    ("log_softmax_last", ad.log_softmax_last, [(3, 4)]),
+]
+_TRACKED_CASES = [pytest.param(op, shapes, i, id=f"{name}-arg{i}")
+                  for name, op, shapes in _PRIMITIVES for i in range(len(shapes))]
+
+
+class TestNodeContract:
+    """Each primitive records one node when an operand is tracked, and none otherwise."""
+
+    @pytest.mark.parametrize("op,shapes,tracked", _TRACKED_CASES)
+    def test_one_tracked_operand_records_one_node(self, op, shapes, tracked):
+        tape = CountingTape()
+        args = [tape.var(v) if i == tracked else ad.constant(v)
+                for i, v in enumerate(_arrays(*shapes))]
+        out = op(*args)
+        assert tape.recorded == 1
+        assert out.requires_grad and out.tape is tape
+
+    @pytest.mark.parametrize("op,shapes", [pytest.param(op, shapes, id=name)
+                                           for name, op, shapes in _PRIMITIVES])
+    @pytest.mark.parametrize("lift", [ad.constant, np.asarray], ids=["constants", "arrays"])
+    def test_constant_operands_record_nothing(self, op, shapes, lift):
+        tape = CountingTape()
+        tape.var(np.ones(3))
+        out = op(*[lift(v) for v in _arrays(*shapes)])
+        assert tape.recorded == 0
+        assert isinstance(out, ad.Var)
+        assert out.tape is None and not out.requires_grad
+
+    def test_concat_last_grads_reach_only_tracked_inputs(self):
+        rng = np.random.default_rng(22)
+        parts = [rng.standard_normal((2, 3, w)) for w in (2, 4, 1, 3)]
+        w = rng.standard_normal((2, 3, 10))
+        tape = Tape()
+        xs = [tape.var(parts[0].copy()), ad.constant(parts[1]), tape.var(parts[2].copy()),
+              parts[3]]
+        y = ad.concat_last(xs)
+        tape.backward(ad.sum_axes(ad.mul(ad.mul(y, y), ad.constant(w))))
+        assert xs[1].grad is None
+        for i in (0, 2):
+            def f(v, i=i):
+                c = np.concatenate(parts[:i] + [v] + parts[i + 1:], axis=-1)
+                return float((c * c * w).sum())
+
+            num = numeric_grad(f, parts[i].copy())
+            assert np.abs(xs[i].grad - num).max() <= 1e-7 * max(1.0, np.abs(num).max())
+
+
 class TestTapeLifetime:
     """A Var holds its tape weakly, so dropping the Tape frees the whole graph."""
 

@@ -362,7 +362,7 @@ class TestModelForward:
         x = np.random.default_rng(14).standard_normal((2, 4, 5))
         tape = Tape()
         pv = {k: tape.var(v) for k, v in model.params.items()}
-        out = model.forward(x, tape, pv)
+        out = model.forward(x, pv)
         tape.backward(ad.mean_all(ad.mul(out, out)))
         assert pv["patch.w"].grad is not None
         assert np.isfinite(pv["patch.w"].grad).all()
@@ -489,4 +489,21 @@ class TestCheckpoint:
         manifest["params"]["head.b"] = "../" + fname
         path.write_text(json.dumps(manifest))
         with pytest.raises(ValueError, match="'head.b': file name"):
+            HOTModel.load(tmp_path / "ckpt")
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda m: m["config"]["block"].pop("pooling"),
+        lambda m: m["config"]["head"].update(extra=1),
+        lambda m: m["config"]["block"]["feature_spec"].update(extra=1),
+        lambda m: m.update(config=[m["config"]]),
+        lambda m: m.pop("params"),
+    ], ids=["missing-pooling", "extra-head-key", "extra-feature-spec-key", "config-list",
+            "no-params"])
+    def test_malformed_manifest_raises_value_error(self, tmp_path, corrupt):
+        HOTModel.initialize(small_config(variant="factored-linear"), seed=10).save(tmp_path / "ckpt")
+        path = tmp_path / "ckpt" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        corrupt(manifest)
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match="malformed manifest in .*ckpt"):
             HOTModel.load(tmp_path / "ckpt")
