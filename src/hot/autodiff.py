@@ -47,6 +47,7 @@ import math
 import weakref
 
 import numpy as np
+from numpy.lib.array_utils import normalize_axis_tuple
 from scipy.special import ndtr
 
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -266,17 +267,17 @@ def gelu(a) -> Var:
     return _node(x * cdf, tape, backward)
 
 
-def _row_dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Dot products along the last axis, kept as a length-1 axis."""
-    return np.einsum("...i,...i->...", u, v)[..., None]
+def _row_sum(*factors: np.ndarray) -> np.ndarray:
+    """Sums along the last axis of the product of ``factors``, kept as a length-1 axis."""
+    return np.einsum(",".join(["...i"] * len(factors)) + "->...", *factors)[..., None]
 
 
 def layer_norm_last(a, gamma, beta, eps: float) -> Var:
     """Normalize the last axis to zero mean and unit variance, then scale and shift."""
     tape, (a, gamma, beta) = _operands(a, gamma, beta)
     n = a.shape[-1]
-    xhat = a.value - a.value.mean(axis=-1, keepdims=True)
-    rstd = 1.0 / np.sqrt(_row_dot(xhat, xhat) / n + eps)
+    xhat = a.value - _row_sum(a.value) / n
+    rstd = 1.0 / np.sqrt(_row_sum(xhat, xhat) / n + eps)
     xhat *= rstd
     y = xhat * gamma.value
     y += beta.value
@@ -284,8 +285,8 @@ def layer_norm_last(a, gamma, beta, eps: float) -> Var:
     def backward(g):
         if a.requires_grad:
             gy = g * gamma.value
-            dx = gy - gy.mean(axis=-1, keepdims=True)
-            dx -= xhat * (_row_dot(gy, xhat) / n)
+            dx = gy - _row_sum(gy) / n
+            dx -= xhat * (_row_sum(gy, xhat) / n)
             dx *= rstd
             _accum(a, dx, owned=True)
         if gamma.requires_grad:
@@ -295,25 +296,22 @@ def layer_norm_last(a, gamma, beta, eps: float) -> Var:
     return _node(y, tape, backward)
 
 
-def _swap_pairs(x: np.ndarray) -> np.ndarray:
-    """(x0, x1, x2, x3, ...) -> (x1, x0, x3, x2, ...) along the last axis."""
-    out = np.empty_like(x)
-    out[..., 0::2] = x[..., 1::2]
-    out[..., 1::2] = x[..., 0::2]
-    return out
+def _turn_pairs(x: np.ndarray, phase: np.ndarray) -> np.ndarray:
+    """Each pair (x0, x1) of the last axis read as x0 + i*x1, times ``phase``."""
+    return (np.ascontiguousarray(x).view(np.complex128) * phase).view(np.float64)
 
 
-def rotate_pairs(a, cos: np.ndarray, sin: np.ndarray) -> Var:
-    """Rotate consecutive feature pairs: ``a * cos + swap(a) * sin``.
+def rotate_pairs(a, phase: np.ndarray) -> Var:
+    """Rotate each feature pair of the last axis by the complex unit ``phase``.
 
-    ``swap`` exchanges the two entries of each pair.  ``cos``/``sin`` broadcast
-    against ``a`` and hold each pair's angle twice; ``sin`` carries the sign
-    pattern (-s, +s).  The adjoint is the inverse rotation,
-    ``g * cos + swap(g * sin)``.
+    Pair j is the complex number ``a[2j] + i*a[2j+1]`` of a complex128 view,
+    so ``phase`` has one entry per pair and broadcasts against
+    ``a.shape[:-1] + (E/2,)``.  The adjoint is the inverse rotation,
+    ``g * conj(phase)``.
     """
     tape, (a,) = _operands(a)
-    return _node(a.value * cos + _swap_pairs(a.value) * sin, tape,
-                 lambda g: _accum(a, g * cos + _swap_pairs(g * sin), owned=True))
+    return _node(_turn_pairs(a.value, phase), tape,
+                 lambda g: _accum(a, _turn_pairs(g, phase.conj()), owned=True))
 
 
 def reshape(a, shape) -> Var:
@@ -332,19 +330,21 @@ def transpose(a, axes) -> Var:
 
 
 def sum_axes(a, axes=None, keepdims: bool = False) -> Var:
+    """``np.sum`` over ``axes`` (default all), as one ``np.einsum`` over the kept axes."""
     tape, (a,) = _operands(a)
-    if axes is None:
-        axes = tuple(range(a.value.ndim))
-    elif isinstance(axes, int):
-        axes = (axes,)
-    else:
-        axes = tuple(axes)
+    nd = a.value.ndim
+    axes = tuple(range(nd)) if axes is None else normalize_axis_tuple(axes, nd)
+    kept = [ax for ax in range(nd) if ax not in axes]
+    # with nothing to sum, einsum would return a view of a.value
+    value = np.einsum(a.value, list(range(nd)), kept) if axes else a.value.copy()
+    if keepdims:
+        value = np.expand_dims(value, axes)
 
     def backward(g):
         if not keepdims:
             g = np.expand_dims(g, axes)
         _accum(a, np.broadcast_to(g, a.shape))
-    return _node(a.value.sum(axis=axes, keepdims=keepdims), tape, backward)
+    return _node(value, tape, backward)
 
 
 def mean_all(a) -> Var:

@@ -11,8 +11,9 @@ with rotary phases on queries and keys before pooling, and a mean or flatten
 pooling head feeding an affine map to forecast values or class logits.  The
 rotary phases turn feature pair j of the token at position ``pos`` by
 ``sum_m pos_m * base**(-2j/E)`` over the rotary modes m: RoFormer's rotation
-with the angles of the modes summed, built once per shape by
-:func:`_rotary_table` and applied by :func:`_rotary_v`.
+with the angles of the modes summed.  :func:`_rotary_table` holds each angle
+once per shape as a complex unit phase, and :func:`_rotary_v` multiplies the
+pair, read as a complex number, by it.
 
 Forward passes run on the autodiff tape, so the same code path serves
 training and inference; all parameters live in a flat name -> array dict.
@@ -172,14 +173,12 @@ class ModelConfig:
 
 @functools.lru_cache(maxsize=32)
 def _rotary_table(modes: tuple[int, ...], base: float, token_dims: tuple[int, ...],
-                  d_head: int) -> tuple[np.ndarray, np.ndarray]:
-    """Cosine and signed sine of the summed angles, shaped like (*token_dims, d_head).
+                  d_head: int) -> np.ndarray:
+    """Phases ``exp(i*theta)`` for :func:`hot.autodiff.rotate_pairs`, shaped (*token_dims, E/2).
 
-    Pair j at position ``pos`` turns by ``sum_m pos_m * base**(-2j/E)`` over
-    the rotary modes m; axes of the other modes have length 1.  Each angle is
-    repeated for both entries of its pair, and the sine carries the sign
-    pattern (-s, +s) of :func:`hot.autodiff.rotate_pairs`.  Read-only, since
-    the cache hands the same arrays to every caller.
+    Pair j at position ``pos`` turns by ``theta = sum_m pos_m * base**(-2j/E)``
+    over the rotary modes m; axes of the other modes have length 1.
+    Read-only, since the cache hands the same array to every caller.
     """
     k = len(token_dims)
     freqs = base ** (-np.arange(0, d_head, 2) / d_head)
@@ -188,12 +187,9 @@ def _rotary_table(modes: tuple[int, ...], base: float, token_dims: tuple[int, ..
         shape = [1] * k
         shape[m] = token_dims[m]
         pos = pos + np.arange(token_dims[m]).reshape(shape)
-    theta = pos[..., None] * freqs
-    cos = np.repeat(np.cos(theta), 2, axis=-1)
-    sin = np.repeat(np.sin(theta), 2, axis=-1) * np.tile([-1.0, 1.0], d_head // 2)
-    cos.flags.writeable = False
-    sin.flags.writeable = False
-    return cos, sin
+    phase = np.exp(1j * (pos[..., None] * freqs))
+    phase.flags.writeable = False
+    return phase
 
 
 def _rotary_v(t: Var, cfg: RotaryConfig, token_dims: tuple[int, ...], lead: int = 1) -> Var:
@@ -209,8 +205,8 @@ def _rotary_v(t: Var, cfg: RotaryConfig, token_dims: tuple[int, ...], lead: int 
         raise ValueError(f"token axes {t.shape[lead:-1]} != token dims {tuple(token_dims)}")
     if t.shape[-1] % 2 != 0:
         raise ValueError("rotary phases need an even head dimension")
-    cos, sin = _rotary_table(tuple(cfg.modes), float(cfg.base), tuple(token_dims), t.shape[-1])
-    return ad.rotate_pairs(t, cos, sin)
+    return ad.rotate_pairs(t, _rotary_table(tuple(cfg.modes), float(cfg.base), tuple(token_dims),
+                                            t.shape[-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -448,14 +444,16 @@ class HOTModel:
         The manifest must list exactly the parameters of
         ``initialize(config)``, each in a file directly inside ``directory``
         with the parameter's shape; otherwise ``ValueError`` names the
-        parameter.  Missing or unknown manifest keys, and a ``config`` that is
-        not a JSON object, also raise ``ValueError``.
+        parameter.  Missing or unknown manifest keys, and a ``config`` or
+        ``params`` that is not a JSON object, also raise ``ValueError``.
         """
         directory = Path(directory)
         manifest = json.loads((directory / "manifest.json").read_text())
         try:
             config = _config_from_dict(manifest["config"])
             files = manifest["params"]
+            if not isinstance(files, dict):
+                raise TypeError(f"params is a JSON {type(files).__name__}, not an object")
         except (KeyError, TypeError) as e:
             raise ValueError(f"malformed manifest in {directory}: {e!r}") from e
         expected = cls.initialize(config).params

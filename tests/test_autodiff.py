@@ -1,10 +1,14 @@
 """Tape and primitive adjoint tests against finite differences and closed forms."""
 
 import gc
+import math
 import weakref
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hot import autodiff as ad
 from hot import diffops as ops
@@ -111,6 +115,66 @@ class TestPrimitives:
         tape.backward(ad.sum_axes(ad.mul(out, out)))
         expected = 2 * np.broadcast_to(x0.sum(axis=1, keepdims=True), x0.shape)
         assert np.allclose(x.grad, expected, atol=1e-12)
+
+
+@st.composite
+def _sum_cases(draw):
+    """An array of 1-5 axes, and axes to sum: None, or a subset (maybe empty, maybe negative)."""
+    x = draw(hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=5, max_side=4),
+                        elements=st.floats(-1e3, 1e3)))
+    axes = draw(st.none() | st.lists(st.sampled_from(range(x.ndim)), unique=True).flatmap(
+        lambda picked: st.tuples(*[st.sampled_from((ax, ax - x.ndim)) for ax in picked])))
+    return x, axes, draw(st.booleans())
+
+
+@settings(deadline=None)
+@given(case=_sum_cases())
+def test_sum_axes_matches_np_sum(case):
+    x, axes, keepdims = case
+    a = ad.constant(x)
+    out = ad.sum_axes(a, axes, keepdims=keepdims)
+    ref = np.sum(x, axis=axes, keepdims=keepdims)
+    assert out.shape == ref.shape
+    assert np.allclose(out.value, ref, rtol=1e-12, atol=1e-9)
+    assert not np.shares_memory(out.value, a.value)
+
+
+def rotate_loop(x, theta):
+    """Pair j of each row of ``x`` turned by ``theta[..., j]``, one entry at a time."""
+    out = np.empty_like(x)
+    for idx in np.ndindex(*x.shape[:-1]):
+        for j in range(x.shape[-1] // 2):
+            c, s = math.cos(theta[idx][j]), math.sin(theta[idx][j])
+            u, v = x[idx][2 * j], x[idx][2 * j + 1]
+            out[idx][2 * j] = u * c - v * s
+            out[idx][2 * j + 1] = v * c + u * s
+    return out
+
+
+class TestRotatePairs:
+    def test_transposed_input_matches_plain_loop(self):
+        rng = np.random.default_rng(23)
+        x = rng.standard_normal((6, 5)).T  # (5, 6), not contiguous
+        theta = rng.uniform(-np.pi, np.pi, (5, 3))
+        a = ad.constant(x)
+        assert not a.value.flags.c_contiguous
+        out = ad.rotate_pairs(a, np.exp(1j * theta))
+        assert np.abs(out.value - rotate_loop(x, theta)).max() <= 1e-13
+
+    def test_gradients_from_a_broadcast_adjoint(self):
+        # summing over axis 0 hands rotate_pairs a read-only broadcast_to view as its adjoint
+        rng = np.random.default_rng(24)
+        x0 = rng.standard_normal((3, 4, 6))
+        theta = rng.uniform(-np.pi, np.pi, (4, 3))
+        w = rng.standard_normal((4, 6))
+        tape = Tape()
+        x = tape.var(x0.copy())
+        out = ad.rotate_pairs(x, np.exp(1j * theta))
+        tape.backward(ad.sum_axes(ad.mul(ad.sum_axes(out, 0), ad.constant(w))))
+        assert not out.grad.flags.writeable and out.grad.strides[0] == 0
+        num = numeric_grad(lambda v: float((rotate_loop(v, np.broadcast_to(theta, (3, 4, 3)))
+                                            .sum(axis=0) * w).sum()), x0.copy())
+        assert np.abs(x.grad - num).max() <= 1e-7 * max(1.0, np.abs(num).max())
 
 
 class TestMatmul:
@@ -230,7 +294,7 @@ _PRIMITIVES = [
     ("clip_min", lambda a: ad.clip_min(a, 1.0), [(3, 4)]),
     ("gelu", ad.gelu, [(3, 4)]),
     ("layer_norm_last", lambda a, g, b: ad.layer_norm_last(a, g, b, 1e-5), [(3, 4), (4,), (4,)]),
-    ("rotate_pairs", lambda a: ad.rotate_pairs(a, np.ones(4), np.zeros(4)), [(3, 4)]),
+    ("rotate_pairs", lambda a: ad.rotate_pairs(a, np.ones(2, dtype=complex)), [(3, 4)]),
     ("reshape", lambda a: ad.reshape(a, (12,)), [(3, 4)]),
     ("transpose", lambda a: ad.transpose(a, (1, 0)), [(3, 4)]),
     ("sum_axes", lambda a: ad.sum_axes(a, 1), [(3, 4)]),

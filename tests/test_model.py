@@ -497,8 +497,9 @@ class TestCheckpoint:
         lambda m: m["config"]["block"]["feature_spec"].update(extra=1),
         lambda m: m.update(config=[m["config"]]),
         lambda m: m.pop("params"),
+        lambda m: m.update(params=sorted(m["params"])),
     ], ids=["missing-pooling", "extra-head-key", "extra-feature-spec-key", "config-list",
-            "no-params"])
+            "no-params", "params-list"])
     def test_malformed_manifest_raises_value_error(self, tmp_path, corrupt):
         HOTModel.initialize(small_config(variant="factored-linear"), seed=10).save(tmp_path / "ckpt")
         path = tmp_path / "ckpt" / "manifest.json"
