@@ -3,10 +3,11 @@
     hot <equiv|gradcheck|kronrank|bench|ablate|train> [--config FILE]
         [--seed N] [--out DIR]
 
-Each command reads one JSON config document (unknown keys are rejected),
-writes CSV reports plus a ``<command>_summary.json`` with per-assertion
-pass/fail, and exits 0 when every assertion holds, 1 on a tolerance breach,
-and 2 on a config error.  All randomness is seeded, so reruns with the same
+Each command reads one JSON config document into its config dataclass (keys,
+JSON types and value ranges are checked before any work starts), writes CSV
+reports plus a ``<command>_summary.json`` with per-assertion pass/fail, and
+exits 0 when every assertion holds, 1 on a tolerance breach, and 2 on a
+config error.  All randomness is seeded, so reruns with the same
 config reproduce every non-timing output byte for byte.
 
 CSV dialect: comma separated, header row, UTF-8, LF line endings, floats with
@@ -17,11 +18,13 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import sys
 import time
 import tracemalloc
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +32,7 @@ import numpy as np
 from . import autodiff as ad
 from . import diffops as ops
 from .attention import (
+    check_model_dims,
     full_high_order_attention,
     materialized_attention,
     mode_attention_matrix,
@@ -49,6 +53,7 @@ from .model import (
     RotaryConfig,
     _rotary_v,
     attention_sublayer,
+    from_json,
 )
 from .train import (
     SyntheticTaskSpec,
@@ -69,140 +74,241 @@ class ConfigError(ValueError):
 # config handling
 
 
-DEFAULTS = {
-    "equiv": {
-        "shapes": [[6], [2, 3], [4, 5], [8, 8], [2, 3, 4], [2, 2, 2, 2]],
-        "heads": [1, 2],
-        "d_model": 8,
-        "seeds": [0, 1, 2],
-        "tolerance": 1e-10,
-        "reduction_tolerance": 1e-12,
-        "feature_count": 64,
-    },
-    "gradcheck": {
-        "shape": [3, 4],
-        "d_model": 8,
-        "heads": 2,
-        "seeds": [0, 1, 2, 3, 4],
-        "eps": 1e-5,
-        "tolerance": 1e-5,
-        "min_coords": 64,
-        "feature_count": 8,
-        "quadratic_tolerance": 1e-9,
-        "fault_threshold": 1e-2,
-    },
-    "kronrank": {
-        "dims_list": [[3, 3], [2, 3]],
-        "seeds": [0, 1, 2],
-        "exact_tolerance": 1e-8,
-        "planted_tolerance": 1e-10,
-        "attention_d_model": 8,
-        "attention_heads": 2,
-    },
-    "bench": {
-        "variants": ["factored-linear", "full-softmax", "factored-softmax", "full-linear"],
-        "grids": {
-            "factored-linear": [[16, 16], [32, 32], [64, 64], [128, 128]],
-            "factored-softmax": [[16, 16], [32, 32], [64, 64], [128, 128]],
-            "full-softmax": [[8, 8], [16, 16], [24, 24], [32, 32]],
-            "full-linear": [[16, 16], [32, 32], [64, 64], [128, 128]],
-        },
-        "d_model": 48,
-        "heads": 4,
-        "feature_count": 96,
-        "reps": 5,
-        "warmups": 2,
-        "seed": 0,
-        "slope_windows": {"factored-linear": [0.8, 1.3], "full-softmax": [1.7, 2.3]},
-        "memory_ratio": 1.3,
-        "track_memory": True,
-    },
-    "ablate": {
-        "task": "separable-spatiotemporal-forecast",
-        "t_len": 32,
-        "n_series": 8,
-        "horizon": 4,
-        "n_train": 768,
-        "n_val": 64,
-        "noise": 0.05,
-        "interaction_gain": 0.0,
-        "seeds": [0, 1, 2, 3, 4],
-        "steps": 500,
-        "batch_size": 64,
-        "lr": 8e-3,
-        "d_model": 32,
-        "heads": [4],
-        "ffn_dim": 64,
-        "variants": ["factored-softmax"],
-        "masks": [[True, True], [True, False], [False, True], [False, False]],
-        "feature_count": 16,
-        "pooling_head": "mean",
-        "rotary_modes": [0, 1],
-        "assert_ordering": True,
-        "include_linear_baseline": True,
-        "baseline_seeds": [0, 1],
-        "baseline_interaction_gain": 0.6,
-    },
-    "train": {
-        "task": "separable-spatiotemporal-forecast",
-        "t_len": 32,
-        "n_series": 8,
-        "horizon": 4,
-        "volume": [8, 8, 8],
-        "num_classes": 2,
-        "n_train": 512,
-        "n_val": 64,
-        "noise": 0.05,
-        "interaction_gain": 0.6,
-        "task_seed": 0,
-        "seed": 0,
-        "steps": 500,
-        "batch_size": 32,
-        "lr": 5e-3,
-        "d_model": 16,
-        "heads": 2,
-        "ffn_dim": 32,
-        "variant": "factored-softmax",
-        "mask": None,
-        "feature_count": 16,
-        "pooling_head": "flatten",
-        "rotary_modes": [0],
-        "checkpoint": True,
-    },
-}
+FORECAST = "separable-spatiotemporal-forecast"
 
 
-# bool before int, since a Python bool is an int
-JSON_TYPES = ((bool, "boolean"), (int, "integer"), (float, "number"), (str, "string"),
-              (list, "array"), (dict, "object"))
-# JSON types a value may take besides its default's: a number may be written
-# as an integer, and an unset (null) default may be given as an array
-ALSO_ACCEPTED = {"number": ("integer",), "null": ("array",)}
+def _check(ok: bool, key: str, rule: str) -> None:
+    if not ok:
+        raise ValueError(f"{key} must {rule}")
 
 
-def _json_type(value) -> str:
-    return "null" if value is None else next(t for cls, t in JSON_TYPES if isinstance(value, cls))
+def _check_seeds(key: str, seeds: tuple[int, ...]) -> None:
+    _check(seeds and min(seeds) >= 0, key, "be a non-empty array of integers >= 0")
 
 
-def load_config(command: str, path: str | None, overrides: dict) -> dict:
-    config = {k: (json.loads(json.dumps(v))) for k, v in DEFAULTS[command].items()}
+def _check_grids(key: str, grids: tuple[tuple[int, ...], ...]) -> None:
+    _check(grids and all(dims and min(dims) >= 1 for dims in grids), key,
+           "be a non-empty array of non-empty arrays of integers >= 1")
+
+
+@dataclass(frozen=True)
+class EquivConfig:
+    shapes: tuple[tuple[int, ...], ...] = ((6,), (2, 3), (4, 5), (8, 8), (2, 3, 4), (2, 2, 2, 2))
+    heads: tuple[int, ...] = (1, 2)
+    d_model: int = 8
+    seeds: tuple[int, ...] = (0, 1, 2)
+    tolerance: float = 1e-10
+    reduction_tolerance: float = 1e-12
+    feature_count: int = 64
+
+    def __post_init__(self):
+        _check_grids("shapes", self.shapes)
+        _check(self.heads, "heads", "be a non-empty array")
+        for heads in self.heads:
+            check_model_dims(self.d_model, heads)
+            FeatureMapSpec(self.feature_count, self.d_model // heads)  # the reduction rows' map
+        _check_seeds("seeds", self.seeds)
+        _check(self.tolerance >= 0, "tolerance", "be >= 0")
+        _check(self.reduction_tolerance >= 0, "reduction_tolerance", "be >= 0")
+
+
+@dataclass(frozen=True)
+class GradcheckConfig:
+    shape: tuple[int, ...] = (3, 4)
+    d_model: int = 8
+    heads: int = 2
+    seeds: tuple[int, ...] = (0, 1, 2, 3, 4)
+    eps: float = 1e-5
+    tolerance: float = 1e-5
+    min_coords: int = 64
+    feature_count: int = 8
+    quadratic_tolerance: float = 1e-9
+    fault_threshold: float = 1e-2
+
+    def __post_init__(self):
+        _check_grids("shape", (self.shape,))
+        _check_seeds("seeds", self.seeds)
+        _check(0 < self.eps < math.inf, "eps", "be a positive finite number")
+        _check(self.min_coords >= 1, "min_coords", "be >= 1")
+        for key in ("tolerance", "quadratic_tolerance", "fault_threshold"):
+            _check(getattr(self, key) >= 0, key, "be >= 0")
+        FeatureMapSpec(self.feature_count, 4)  # the op cases' feature map
+        for variant in VARIANTS:
+            _gradcheck_model_config(self, variant)
+
+
+@dataclass(frozen=True)
+class KronrankConfig:
+    dims_list: tuple[tuple[int, ...], ...] = ((3, 3), (2, 3))
+    seeds: tuple[int, ...] = (0, 1, 2)
+    exact_tolerance: float = 1e-8
+    planted_tolerance: float = 1e-10
+    attention_d_model: int = 8
+    attention_heads: int = 2
+
+    def __post_init__(self):
+        _check_grids("dims_list", self.dims_list)
+        _check_seeds("seeds", self.seeds)
+        _check(self.exact_tolerance >= 0, "exact_tolerance", "be >= 0")
+        _check(self.planted_tolerance >= 0, "planted_tolerance", "be >= 0")
+        check_model_dims(self.attention_d_model, self.attention_heads)
+
+
+@dataclass(frozen=True)
+class BenchConfig:
+    variants: tuple[str, ...] = ("factored-linear", "full-softmax", "factored-softmax",
+                                 "full-linear")
+    grids: dict[str, tuple[tuple[int, ...], ...]] = field(default_factory=lambda: {
+        "factored-linear": ((16, 16), (32, 32), (64, 64), (128, 128)),
+        "factored-softmax": ((16, 16), (32, 32), (64, 64), (128, 128)),
+        "full-softmax": ((8, 8), (16, 16), (24, 24), (32, 32)),
+        "full-linear": ((16, 16), (32, 32), (64, 64), (128, 128)),
+    })
+    d_model: int = 48
+    heads: int = 4
+    feature_count: int = 96
+    reps: int = 5
+    warmups: int = 2
+    seed: int = 0
+    slope_windows: dict[str, tuple[float, float]] = field(default_factory=lambda: {
+        "factored-linear": (0.8, 1.3), "full-softmax": (1.7, 2.3)})
+    memory_ratio: float = 1.3
+    track_memory: bool = True
+
+    def __post_init__(self):
+        _check(self.variants, "variants", "be a non-empty array")
+        for variant in self.variants:
+            _check(variant in VARIANTS, "variants", f"be among {VARIANTS}, not {variant!r}")
+            _check(variant in self.grids, "grids", f"have an entry for variant {variant!r}")
+        for variant, grid in self.grids.items():
+            _check_grids(f"grids.{variant}", grid)
+            _check(len({math.prod(dims) for dims in grid}) >= 2, f"grids.{variant}",
+                   "hold at least two token counts to fit a slope")
+        check_model_dims(self.d_model, self.heads)
+        FeatureMapSpec(self.feature_count, self.d_model // self.heads)
+        _check(self.warmups >= 0, "warmups", "be >= 0")
+        _check(self.seed >= 0, "seed", "be >= 0")
+        for variant, (lo, hi) in self.slope_windows.items():
+            _check(lo <= hi, f"slope_windows.{variant}", "be an interval [lo, hi]")
+        _check(self.memory_ratio >= 1, "memory_ratio", "be >= 1")
+
+
+@dataclass(frozen=True)
+class AblateConfig:
+    task: str = FORECAST
+    t_len: int = 32
+    n_series: int = 8
+    horizon: int = 4
+    n_train: int = 768
+    n_val: int = 64
+    noise: float = 0.05
+    interaction_gain: float = 0.0
+    seeds: tuple[int, ...] = (0, 1, 2, 3, 4)
+    steps: int = 500
+    batch_size: int = 64
+    lr: float = 8e-3
+    d_model: int = 32
+    heads: tuple[int, ...] = (4,)
+    ffn_dim: int = 64
+    variants: tuple[str, ...] = ("factored-softmax",)
+    masks: tuple[tuple[bool, ...], ...] = ((True, True), (True, False), (False, True),
+                                           (False, False))
+    feature_count: int = 16
+    pooling_head: str = "mean"
+    rotary_modes: tuple[int, ...] = (0, 1)
+    assert_ordering: bool = True
+    include_linear_baseline: bool = True
+    baseline_seeds: tuple[int, ...] = (0, 1)
+    baseline_interaction_gain: float = 0.6
+
+    def __post_init__(self):
+        _check(self.task == FORECAST, "task", f"be {FORECAST!r}, the only task ablate runs")
+        _check_training(self)
+        _check_seeds("seeds", self.seeds)
+        _check(self.heads, "heads", "be a non-empty array")
+        _check(self.variants, "variants", "be a non-empty array")
+        _check(self.masks, "masks", "be a non-empty array")
+        for variant, heads, mask in itertools.product(self.variants, self.heads, self.masks):
+            _build_model_config(self, mask, variant, heads)
+        if self.include_linear_baseline:
+            _check_seeds("baseline_seeds", self.baseline_seeds)
+            _check(self.baseline_interaction_gain >= 0, "baseline_interaction_gain", "be >= 0")
+            _build_model_config(self, (True, True), self.variants[0], self.heads[0], "flatten")
+
+
+@dataclass(frozen=True)
+class TrainConfig:
+    task: str = FORECAST
+    t_len: int = 32
+    n_series: int = 8
+    horizon: int = 4
+    volume: tuple[int, int, int] = (8, 8, 8)
+    num_classes: int = 2
+    n_train: int = 512
+    n_val: int = 64
+    noise: float = 0.05
+    interaction_gain: float = 0.6
+    task_seed: int = 0
+    seed: int = 0
+    steps: int = 500
+    batch_size: int = 32
+    lr: float = 5e-3
+    d_model: int = 16
+    heads: int = 2
+    ffn_dim: int = 32
+    variant: str = "factored-softmax"
+    mask: tuple[bool, ...] | None = None
+    feature_count: int = 16
+    pooling_head: str = "flatten"
+    rotary_modes: tuple[int, ...] = (0,)
+    checkpoint: bool = True
+
+    def __post_init__(self):
+        _check_training(self)
+        _check(self.task_seed >= 0, "task_seed", "be >= 0")
+        _check(self.seed >= 0, "seed", "be >= 0")
+        _build_model_config(self, self.mask, self.variant, self.heads)
+
+
+def _check_training(config: AblateConfig | TrainConfig) -> None:
+    """Range checks shared by ``ablate`` and ``train``, including their task spec's."""
+    if config.task == FORECAST:
+        _check(min(config.t_len, config.n_series) >= 1, "t_len and n_series", "be >= 1")
+    else:
+        _check_grids("volume", (config.volume,))
+    for key in ("noise", "interaction_gain"):
+        _check(getattr(config, key) >= 0, key, "be >= 0")
+    _task_spec(config, 0)
+    _check(config.steps >= 1, "steps", "be >= 1")
+    _check(config.batch_size >= 1, "batch_size", "be >= 1")
+    _check(0 < config.lr < math.inf, "lr", "be a positive finite number")
+    _check(config.ffn_dim >= 0, "ffn_dim", "be >= 0 (0 means 4 * d_model)")
+
+
+CONFIGS = {"equiv": EquivConfig, "gradcheck": GradcheckConfig, "kronrank": KronrankConfig,
+           "bench": BenchConfig, "ablate": AblateConfig, "train": TrainConfig}
+
+
+def load_config(command: str, path: str | None, overrides: dict):
+    """The command's config: defaults, then the JSON file at ``path``, then
+    ``overrides`` for keys the command has, decoded and checked once."""
+    cls = CONFIGS[command]
+    values = json.loads(json.dumps(asdict(cls())))  # the defaults as JSON, decoded with the file
     if path is not None:
         try:
             user = json.loads(Path(path).read_text())
-        except (OSError, json.JSONDecodeError) as e:
+        except (OSError, ValueError) as e:
             raise ConfigError(f"cannot read config {path}: {e}") from e
         if not isinstance(user, dict):
             raise ConfigError("config must be a JSON object")
-        unknown = set(user) - set(config)
-        if unknown:
-            raise ConfigError(f"unknown config keys for {command}: {sorted(unknown)}")
-        for key, value in user.items():
-            want, got = _json_type(config[key]), _json_type(value)
-            if got != want and got not in ALSO_ACCEPTED.get(want, ()):
-                raise ConfigError(f"config key {key!r} must be a JSON {want}, got {got}")
-        config.update(user)
-    config.update({k: v for k, v in overrides.items() if v is not None and k in config})
-    return config
+        values.update(user)
+    values.update({k: v for k, v in overrides.items() if v is not None and k in values})
+    try:
+        return from_json(cls, values, command)
+    except TypeError as e:
+        raise ConfigError(str(e)) from e
+    except ValueError as e:
+        raise ConfigError(f"{command}: {e}") from e
 
 
 # ---------------------------------------------------------------------------
@@ -225,20 +331,6 @@ def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     for row in rows:
         lines.append(",".join(fmt(v) for v in row))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
-
-
-def _weights(d_model: int, heads: int, seed: int):
-    try:
-        return random_attention_weights(d_model, heads, seed=seed)
-    except ValueError as e:
-        raise ConfigError(f"model: {e}") from e
-
-
-def _feature_spec(config: dict, input_dim: int, seed: int) -> FeatureMapSpec:
-    try:
-        return FeatureMapSpec(int(config["feature_count"]), input_dim, seed=seed)
-    except ValueError as e:
-        raise ConfigError(f"feature_count: {e}") from e
 
 
 class Report:
@@ -271,26 +363,22 @@ class Report:
 # equiv
 
 
-def cmd_equiv(config: dict, out_dir: Path) -> int:
+def cmd_equiv(config: EquivConfig, out_dir: Path) -> int:
     report = Report("equiv", out_dir)
-    tol = float(config["tolerance"])
-    red_tol = float(config["reduction_tolerance"])
-    d_model = int(config["d_model"])
     rows = []
     worst = 0.0
-    for shape in config["shapes"]:
-        shape = tuple(shape)
+    for shape in config.shapes:
         label = _shape_str(shape)
-        for heads in config["heads"]:
-            for seed in config["seeds"]:
+        for heads in config.heads:
+            for seed in config.seeds:
                 rng = np.random.default_rng(seed)
-                x = rng.standard_normal(shape + (d_model,))
-                w = _weights(d_model, heads, seed + 1000)
+                x = rng.standard_normal(shape + (config.d_model,))
+                w = random_attention_weights(config.d_model, heads, seed=seed + 1000)
                 out = attention_sublayer(x, w, "factored-softmax")
                 ref = materialized_attention(x, w)
                 err = float(np.abs(out - ref).max())
-                rows.append(["factored-vs-materialized", label, heads, seed, err, tol,
-                             "PASS" if err <= tol else "FAIL"])
+                rows.append(["factored-vs-materialized", label, heads, seed, err, config.tolerance,
+                             "PASS" if err <= config.tolerance else "FAIL"])
                 worst = max(worst, err)
 
                 # implied per-head attention matrix row sums
@@ -298,44 +386,46 @@ def cmd_equiv(config: dict, out_dir: Path) -> int:
                 kt = x @ w.wk[0]
                 s = kron_chain(mode_attention_matrix(q, kt, i) for i in range(len(shape)))
                 row_err = float(np.abs(s.sum(axis=1) - 1.0).max())
-                rows.append(["row-stochastic", label, heads, seed, row_err, tol,
-                             "PASS" if row_err <= tol else "FAIL"])
+                rows.append(["row-stochastic", label, heads, seed, row_err, config.tolerance,
+                             "PASS" if row_err <= config.tolerance else "FAIL"])
 
                 # permutation equivariance along the first mode
                 perm = rng.permutation(shape[0])
                 perm_err = float(np.abs(attention_sublayer(x[perm], w, "factored-softmax")
                                         - out[perm]).max())
-                rows.append(["permutation-equivariance", label, heads, seed, perm_err, tol,
-                             "PASS" if perm_err <= tol else "FAIL"])
+                rows.append(["permutation-equivariance", label, heads, seed, perm_err,
+                             config.tolerance,
+                             "PASS" if perm_err <= config.tolerance else "FAIL"])
                 worst = max(worst, perm_err, row_err)
 
     # one-mode reductions collapse to standard attention
-    for seed in config["seeds"]:
+    for seed in config.seeds:
         rng = np.random.default_rng(seed)
-        x = rng.standard_normal((7, d_model))
-        for heads in config["heads"]:
-            w = _weights(d_model, heads, seed + 2000)
+        x = rng.standard_normal((7, config.d_model))
+        for heads in config.heads:
+            w = random_attention_weights(config.d_model, heads, seed=seed + 2000)
             ref = standard_attention(x, w)
-            spec = _feature_spec(config, w.d_head, seed)
+            spec = FeatureMapSpec(config.feature_count, w.d_head, seed=seed)
             for name, out in (
                 ("reduction-factored-softmax", attention_sublayer(x, w, "factored-softmax")),
                 ("reduction-full-softmax", full_high_order_attention(x, w)),
             ):
                 err = float(np.abs(out - ref).max())
-                rows.append([name, "7", heads, seed, err, red_tol,
-                             "PASS" if err <= red_tol else "FAIL"])
+                rows.append([name, "7", heads, seed, err, config.reduction_tolerance,
+                             "PASS" if err <= config.reduction_tolerance else "FAIL"])
             lin_err = float(np.abs(attention_sublayer(x, w, "factored-linear", spec)
                                    - attention_sublayer(x, w, "full-linear", spec)).max())
-            rows.append(["reduction-linear-grid", "7", heads, seed, lin_err, red_tol,
-                         "PASS" if lin_err <= red_tol else "FAIL"])
+            rows.append(["reduction-linear-grid", "7", heads, seed, lin_err,
+                         config.reduction_tolerance,
+                         "PASS" if lin_err <= config.reduction_tolerance else "FAIL"])
 
     # softmax score shift invariance
-    for seed in config["seeds"]:
+    for seed in config.seeds:
         rng = np.random.default_rng(seed)
         logits = rng.standard_normal((6, 6))
         err = float(np.abs(softmax_rows(logits) - softmax_rows(logits + 11.0)).max())
-        rows.append(["softmax-shift-invariance", "6x6", 1, seed, err, red_tol,
-                     "PASS" if err <= red_tol else "FAIL"])
+        rows.append(["softmax-shift-invariance", "6x6", 1, seed, err, config.reduction_tolerance,
+                     "PASS" if err <= config.reduction_tolerance else "FAIL"])
 
     write_csv(out_dir / "equiv.csv",
               ["check", "shape", "heads", "seed", "max_abs_err", "tolerance", "status"], rows)
@@ -353,11 +443,11 @@ def _loss_of(out: ad.Var) -> ad.Var:
     return ad.mean_all(ad.mul(out, out))
 
 
-def _op_cases(config):
+def _op_cases(config: GradcheckConfig):
     """Named differentiable ops: (name, case(vars) -> loss Var, param arrays)."""
     rng = np.random.default_rng(12345)
     t0 = rng.standard_normal((3, 4, 4))
-    spec = _feature_spec(config, 4, 3)
+    spec = FeatureMapSpec(config.feature_count, 4, seed=3)
     omega = projection_matrix(spec)
 
     cases = [
@@ -415,28 +505,25 @@ def _op_cases(config):
     return cases
 
 
-def _gradcheck_model(variant, config, seed):
-    shape = tuple(config["shape"])
-    d_model = int(config["d_model"])
-    heads = int(config["heads"])
+def _gradcheck_model_config(config: GradcheckConfig, variant: str) -> ModelConfig:
     spec = None
-    if "linear" in variant and heads >= 1:  # HOTBlockConfig rejects other head counts
-        spec = _feature_spec(config, d_model // heads, 7)
-    try:
-        cfg = ModelConfig(
-            raw_dims=shape,
-            patch=PatchEmbedConfig((1,) * len(shape)),
-            rotary=RotaryConfig(modes=(0,)),
-            block=HOTBlockConfig(dims=shape, d_model=d_model, heads=heads,
-                                 variant=variant, feature_spec=spec),
-            num_blocks=1,
-            head=HeadConfig(task="forecast", pooling="mean", horizon=2, n_series=2),
-        )
-    except ValueError as e:
-        raise ConfigError(f"model: {e}") from e
-    model = HOTModel.initialize(cfg, seed=seed)
+    if "linear" in variant and config.heads >= 1:  # HOTBlockConfig rejects other head counts
+        spec = FeatureMapSpec(config.feature_count, config.d_model // config.heads, seed=7)
+    return ModelConfig(
+        raw_dims=config.shape,
+        patch=PatchEmbedConfig((1,) * len(config.shape)),
+        rotary=RotaryConfig(modes=(0,)),
+        block=HOTBlockConfig(dims=config.shape, d_model=config.d_model, heads=config.heads,
+                             variant=variant, feature_spec=spec),
+        num_blocks=1,
+        head=HeadConfig(task="forecast", pooling="mean", horizon=2, n_series=2),
+    )
+
+
+def _gradcheck_model(variant, config: GradcheckConfig, seed):
+    model = HOTModel.initialize(_gradcheck_model_config(config, variant), seed=seed)
     rng = np.random.default_rng(seed + 500)
-    x = rng.standard_normal((2,) + shape)
+    x = rng.standard_normal((2,) + config.shape)
     y = rng.standard_normal((2, 2, 2))
 
     tape = Tape()
@@ -452,14 +539,11 @@ def _gradcheck_model(variant, config, seed):
     return f, model.params, grads
 
 
-def cmd_gradcheck(config: dict, out_dir: Path) -> int:
+def cmd_gradcheck(config: GradcheckConfig, out_dir: Path) -> int:
     report = Report("gradcheck", out_dir)
-    tol = float(config["tolerance"])
-    eps = float(config["eps"])
-    min_coords = int(config["min_coords"])
     rows = []
 
-    for seed in config["seeds"]:
+    for seed in config.seeds:
         rng = np.random.default_rng(seed)
         for name, case, params in _op_cases(config):
             tape = Tape()
@@ -471,18 +555,22 @@ def cmd_gradcheck(config: dict, out_dir: Path) -> int:
                 return float(case({k: ad.constant(v) for k, v in p.items()}).value)
 
             err = finite_diff_check(f, {k: np.asarray(v, dtype=np.float64) for k, v in params.items()},
-                                    grads, eps=eps, rng=rng, min_coords=min_coords)
-            rows.append([name, "op", seed, err, tol, "PASS" if err <= tol else "FAIL"])
+                                    grads, eps=config.eps, rng=rng, min_coords=config.min_coords)
+            rows.append([name, "op", seed, err, config.tolerance,
+                         "PASS" if err <= config.tolerance else "FAIL"])
 
         for variant in ("factored-softmax", "factored-linear", "full-softmax", "full-linear"):
             f, params, grads = _gradcheck_model(variant, config, seed)
-            err = finite_diff_check(f, params, grads, eps=eps, rng=rng, min_coords=min_coords)
-            rows.append([variant, "attention-variant", seed, err, tol,
-                         "PASS" if err <= tol else "FAIL"])
+            err = finite_diff_check(f, params, grads, eps=config.eps, rng=rng,
+                                    min_coords=config.min_coords)
+            rows.append([variant, "attention-variant", seed, err, config.tolerance,
+                         "PASS" if err <= config.tolerance else "FAIL"])
 
         f, params, grads = _gradcheck_model("factored-softmax", config, seed)
-        err = finite_diff_check(f, params, grads, eps=eps, rng=rng, min_coords=min_coords)
-        rows.append(["hot-block", "block", seed, err, tol, "PASS" if err <= tol else "FAIL"])
+        err = finite_diff_check(f, params, grads, eps=config.eps, rng=rng,
+                                min_coords=config.min_coords)
+        rows.append(["hot-block", "block", seed, err, config.tolerance,
+                     "PASS" if err <= config.tolerance else "FAIL"])
 
     # quadratic self-test: central differences are exact up to roundoff
     rng = np.random.default_rng(0)
@@ -491,17 +579,15 @@ def cmd_gradcheck(config: dict, out_dir: Path) -> int:
     def quad(p):
         return float(np.sum(p["x"] ** 2) / 2.0)
 
-    err = finite_diff_check(quad, {"x": q0}, {"x": q0}, eps=eps, rng=rng)
-    qtol = float(config["quadratic_tolerance"])
-    rows.append(["quadratic-self-test", "self-test", 0, err, qtol,
-                 "PASS" if err <= qtol else "FAIL"])
+    err = finite_diff_check(quad, {"x": q0}, {"x": q0}, eps=config.eps, rng=rng)
+    rows.append(["quadratic-self-test", "self-test", 0, err, config.quadratic_tolerance,
+                 "PASS" if err <= config.quadratic_tolerance else "FAIL"])
 
     # fault injection: a corrupted adjoint must be reported as wrong
     bad = {"x": q0 * 1.5 + 0.1}
-    err_bad = finite_diff_check(quad, {"x": q0}, bad, eps=eps, rng=rng)
-    thr = float(config["fault_threshold"])
-    rows.append(["fault-injection", "self-test", 0, err_bad, thr,
-                 "PASS" if err_bad > thr else "FAIL"])
+    err_bad = finite_diff_check(quad, {"x": q0}, bad, eps=config.eps, rng=rng)
+    rows.append(["fault-injection", "self-test", 0, err_bad, config.fault_threshold,
+                 "PASS" if err_bad > config.fault_threshold else "FAIL"])
 
     write_csv(out_dir / "gradcheck.csv",
               ["case", "kind", "seed", "max_rel_err", "tolerance", "status"], rows)
@@ -524,21 +610,18 @@ def _empirical_attention_matrix(dims, d_model, heads, seed):
     return softmax_rows(q @ k.T / math.sqrt(w.d_head))
 
 
-def cmd_kronrank(config: dict, out_dir: Path) -> int:
+def cmd_kronrank(config: KronrankConfig, out_dir: Path) -> int:
     report = Report("kronrank", out_dir)
     rows = []
-    exact_tol = float(config["exact_tolerance"])
-    planted_tol = float(config["planted_tolerance"])
-    for dims in config["dims_list"]:
-        dims = tuple(int(d) for d in dims)
+    for dims in config.dims_list:
         bound = kron_rank_bound(dims)
-        for seed in config["seeds"]:
+        for seed in config.seeds:
             rng = np.random.default_rng(seed)
             side = math.prod(dims)
             cases = {
                 "random-row-stochastic": softmax_rows(rng.standard_normal((side, side))),
                 "empirical-attention": _empirical_attention_matrix(
-                    dims, int(config["attention_d_model"]), int(config["attention_heads"]), seed),
+                    dims, config.attention_d_model, config.attention_heads, seed),
             }
             for kind, s in cases.items():
                 errs = []
@@ -547,7 +630,7 @@ def cmd_kronrank(config: dict, out_dir: Path) -> int:
                     errs.append(err)
                     rows.append([kind, _shape_str(dims), seed, rank, err])
                 report.check(f"{kind} dims={dims} seed={seed} exact at R={bound}",
-                             errs[-1] <= exact_tol, errs[-1], exact_tol)
+                             errs[-1] <= config.exact_tolerance, errs[-1], config.exact_tolerance)
                 monotone = all(lo <= hi + 1e-12 for lo, hi in zip(errs[1:], errs[:-1]))
                 report.check(f"{kind} dims={dims} seed={seed} monotone", monotone)
 
@@ -555,7 +638,7 @@ def cmd_kronrank(config: dict, out_dir: Path) -> int:
             err = reconstruction_error(kron_decompose(planted, dims, 1), planted)
             rows.append(["planted-single-term", _shape_str(dims), seed, 1, err])
             report.check(f"planted dims={dims} seed={seed} exact at R=1",
-                         err <= planted_tol, err, planted_tol)
+                         err <= config.planted_tolerance, err, config.planted_tolerance)
 
     write_csv(out_dir / "kronrank.csv", ["kind", "dims", "seed", "rank", "rel_error"], rows)
     return report.finish()
@@ -572,7 +655,7 @@ def _fit_slope(tokens, values):
     return float(slope)
 
 
-def cmd_bench(config: dict, out_dir: Path) -> int:
+def cmd_bench(config: BenchConfig, out_dir: Path) -> int:
     """Time :func:`hot.model.attention_sublayer` over each variant's token grids.
 
     Reps run round-robin over a variant's grids, each timed call just after
@@ -581,31 +664,23 @@ def cmd_bench(config: dict, out_dir: Path) -> int:
     rejects it, and no grid is timed with caches left cold by another.
     """
     report = Report("bench", out_dir)
-    d_model = int(config["d_model"])
-    reps = max(3, int(config["reps"]))
-    warmups = int(config["warmups"])
-    seed = int(config["seed"])
-    w = _weights(d_model, int(config["heads"]), seed + 1)
-    spec = _feature_spec(config, w.d_head, seed)
-    for variant in config["variants"]:
-        if variant not in VARIANTS:
-            raise ConfigError(f"unknown variant {variant!r}")
-        if variant not in config["grids"]:
-            raise ConfigError(f"grids has no entry for variant {variant!r}")
+    w = random_attention_weights(config.d_model, config.heads, seed=config.seed + 1)
+    spec = FeatureMapSpec(config.feature_count, w.d_head, seed=config.seed)
     rows = []
     sample_rows = []
     slopes = {}
     memories = {}
-    for variant in config["variants"]:
-        grid = [tuple(int(d) for d in dims) for dims in config["grids"][variant]]
-        inputs = [np.random.default_rng(seed).standard_normal(dims + (d_model,)) for dims in grid]
+    for variant in config.variants:
+        grid = config.grids[variant]
+        inputs = [np.random.default_rng(config.seed).standard_normal(dims + (config.d_model,))
+                  for dims in grid]
         run = functools.partial(attention_sublayer, w=w, variant=variant,
                                 spec=spec if "linear" in variant else None)
         for x in inputs:
-            for _ in range(warmups):
+            for _ in range(config.warmups):
                 run(x)
         samples = [[] for _ in grid]
-        for rep in range(reps):
+        for rep in range(max(3, config.reps)):
             for dims, x, times in zip(grid, inputs, samples):
                 run(x)
                 t0 = time.perf_counter_ns()
@@ -617,12 +692,13 @@ def cmd_bench(config: dict, out_dir: Path) -> int:
         peaks = []
         for dims, x, tokens, median_ns in zip(grid, inputs, token_counts, medians):
             peak = 0
-            if config["track_memory"]:
+            if config.track_memory:
                 tracemalloc.start()
                 run(x)
                 _, peak = tracemalloc.get_traced_memory()
                 tracemalloc.stop()
-            rows.append([variant, _shape_str(dims), len(dims), tokens, median_ns, peak, seed])
+            rows.append([variant, _shape_str(dims), len(dims), tokens, median_ns, peak,
+                         config.seed])
             peaks.append(peak)
         slopes[variant] = _fit_slope(token_counts, medians)
         memories[variant] = (token_counts, peaks)
@@ -633,19 +709,18 @@ def cmd_bench(config: dict, out_dir: Path) -> int:
     write_csv(out_dir / "bench_samples.csv",
               ["variant", "shape", "tokens", "rep", "wall_ns"], sample_rows)
 
-    for variant, window in config["slope_windows"].items():
+    for variant, (lo, hi) in config.slope_windows.items():
         if variant in slopes:
-            lo, hi = float(window[0]), float(window[1])
             s = slopes[variant]
             report.check(f"{variant} time slope in [{lo}, {hi}]", lo <= s <= hi, s, [lo, hi])
 
-    if config["track_memory"] and "factored-linear" in memories:
+    if config.track_memory and "factored-linear" in memories:
         tokens, peaks = memories["factored-linear"]
         a = np.vstack([np.asarray(tokens, dtype=np.float64), np.ones(len(tokens))]).T
         coef, *_ = np.linalg.lstsq(a, np.asarray(peaks, dtype=np.float64), rcond=None)
         fit = a @ coef
         ratio = float(max(max(p / f, f / p) for p, f in zip(peaks, fit) if f > 0))
-        limit = float(config["memory_ratio"])
+        limit = config.memory_ratio
         report.check(f"factored-linear peak memory within {limit}x of linear fit",
                      ratio <= limit, ratio, limit)
 
@@ -663,54 +738,44 @@ def cmd_bench(config: dict, out_dir: Path) -> int:
 # ablate / train
 
 
-def _build_model_config(config: dict, mask, variant, heads,
+def _build_model_config(config: AblateConfig | TrainConfig, mask, variant, heads,
                         pooling_head: str | None = None) -> ModelConfig:
     """One-block model for the config's task: forecast on (t_len/4, n_series)
     tokens, or classify on a volume patched by 2 along each axis."""
-    d_model = int(config["d_model"])
-    if config["task"] == "separable-spatiotemporal-forecast":
-        raw_dims = (int(config["t_len"]), int(config["n_series"]))
-        patch, rotary = (4, 1), tuple(config["rotary_modes"])
-        head = dict(task="forecast", horizon=int(config["horizon"]), n_series=raw_dims[1])
+    if config.task == FORECAST:
+        raw_dims = (config.t_len, config.n_series)
+        patch, rotary = (4, 1), config.rotary_modes
+        head = dict(task="forecast", horizon=config.horizon, n_series=config.n_series)
     else:
-        raw_dims = tuple(config["volume"])
+        raw_dims = config.volume
         patch, rotary = (2, 2, 2), (0, 1, 2)
-        head = dict(task="classify", num_classes=int(config["num_classes"]))
-    try:
-        spec = None
-        if "linear" in variant and heads >= 1:  # HOTBlockConfig rejects other head counts
-            spec = FeatureMapSpec(int(config["feature_count"]), d_model // heads, seed=11)
-        return ModelConfig(
-            raw_dims=raw_dims,
-            patch=PatchEmbedConfig(patch),
-            rotary=RotaryConfig(modes=rotary),
-            block=HOTBlockConfig(
-                dims=tuple(d // p for d, p in zip(raw_dims, patch)), d_model=d_model,
-                heads=heads, variant=variant, ffn_dim=int(config["ffn_dim"]),
-                mode_mask=tuple(mask) if mask else (), feature_spec=spec),
-            num_blocks=1,
-            head=HeadConfig(pooling=pooling_head or config["pooling_head"], **head),
-        )
-    except ValueError as e:
-        raise ConfigError(f"model: {e}") from e
-
-
-def _task_spec(config: dict, seed: int, gain_key: str = "interaction_gain") -> SyntheticTaskSpec:
-    kind = config["task"]
-    kwargs = dict(
-        kind=kind, n_train=int(config["n_train"]), n_val=int(config["n_val"]),
-        seed=seed, noise=float(config["noise"]),
+        head = dict(task="classify", num_classes=config.num_classes)
+    spec = None
+    if "linear" in variant and heads >= 1:  # HOTBlockConfig rejects other head counts
+        spec = FeatureMapSpec(config.feature_count, config.d_model // heads, seed=11)
+    return ModelConfig(
+        raw_dims=raw_dims,
+        patch=PatchEmbedConfig(patch),
+        rotary=RotaryConfig(modes=rotary),
+        block=HOTBlockConfig(
+            dims=tuple(d // p for d, p in zip(raw_dims, patch)), d_model=config.d_model,
+            heads=heads, variant=variant, ffn_dim=config.ffn_dim,
+            mode_mask=mask or (), feature_spec=spec),
+        num_blocks=1,
+        head=HeadConfig(pooling=pooling_head or config.pooling_head, **head),
     )
-    if kind == "separable-spatiotemporal-forecast":
-        kwargs.update(t_len=int(config["t_len"]), n_series=int(config["n_series"]),
-                      horizon=int(config["horizon"]),
-                      interaction_gain=float(config[gain_key]))
+
+
+def _task_spec(config: AblateConfig | TrainConfig, seed: int,
+               gain: float | None = None) -> SyntheticTaskSpec:
+    kwargs = dict(kind=config.task, n_train=config.n_train, n_val=config.n_val, seed=seed,
+                  noise=config.noise)
+    if config.task == FORECAST:
+        kwargs.update(t_len=config.t_len, n_series=config.n_series, horizon=config.horizon,
+                      interaction_gain=config.interaction_gain if gain is None else gain)
     else:
-        kwargs.update(volume=tuple(config["volume"]), num_classes=int(config["num_classes"]))
-    try:
-        return SyntheticTaskSpec(**kwargs)
-    except ValueError as e:
-        raise ConfigError(f"task: {e}") from e
+        kwargs.update(volume=config.volume, num_classes=config.num_classes)
+    return SyntheticTaskSpec(**kwargs)
 
 
 def _mask_str(mask) -> str:
@@ -718,57 +783,48 @@ def _mask_str(mask) -> str:
     return "".join("T" if b else "F" for b in mask) or "-"
 
 
-def cmd_ablate(config: dict, out_dir: Path) -> int:
+def cmd_ablate(config: AblateConfig, out_dir: Path) -> int:
     """Attention-order grid (task and model seeded together per seed) plus a
     nonlinear-task baseline pair: flatten-head two-mode model vs linear readout."""
-    if config["task"] != "separable-spatiotemporal-forecast":
-        raise ConfigError(f"ablate runs the separable-spatiotemporal-forecast task only, "
-                          f"not {config['task']!r}")
     report = Report("ablate", out_dir)
     rows = []
     cell_means = {}
     param_counts = set()
-    datasets = {seed: gen_synthetic(_task_spec(config, int(seed)))
-                for seed in config["seeds"]}
-    for variant in config["variants"]:
-        for heads in config["heads"]:
-            for mask in config["masks"]:
-                mses = []
-                for seed in config["seeds"]:
-                    mcfg = _build_model_config(config, mask, variant, int(heads))
-                    model = HOTModel.initialize(mcfg, seed=seed)
-                    param_counts.add(model.parameter_count())
-                    t0 = time.perf_counter()
-                    res = train_model(model, datasets[seed], steps=int(config["steps"]),
-                                      batch_size=int(config["batch_size"]),
-                                      lr=float(config["lr"]), seed=seed,
-                                      eval_every=int(config["steps"]))
-                    seconds = time.perf_counter() - t0
-                    rows.append([variant, heads, _mask_str(mask), seed,
-                                 res.final_train_mse, res.final_val_mse, res.final_val_mae,
-                                 res.best_val_mae_step, res.best_val_mse_step,
-                                 model.parameter_count(), seconds])
-                    mses.append(res.final_train_mse)
-                cell_means[(variant, int(heads), tuple(bool(b) for b in mask))] = float(np.mean(mses))
+    datasets = {seed: gen_synthetic(_task_spec(config, seed)) for seed in config.seeds}
+    for variant, heads, mask in itertools.product(config.variants, config.heads, config.masks):
+        mses = []
+        for seed in config.seeds:
+            model = HOTModel.initialize(_build_model_config(config, mask, variant, heads),
+                                        seed=seed)
+            param_counts.add(model.parameter_count())
+            t0 = time.perf_counter()
+            res = train_model(model, datasets[seed], steps=config.steps,
+                              batch_size=config.batch_size, lr=config.lr, seed=seed,
+                              eval_every=config.steps)
+            seconds = time.perf_counter() - t0
+            rows.append([variant, heads, _mask_str(mask), seed,
+                         res.final_train_mse, res.final_val_mse, res.final_val_mae,
+                         res.best_val_mae_step, res.best_val_mse_step,
+                         model.parameter_count(), seconds])
+            mses.append(res.final_train_mse)
+        cell_means[(variant, heads, mask)] = float(np.mean(mses))
 
     baseline_mse = None
     flat_mse = None
-    if config["include_linear_baseline"]:
+    if config.include_linear_baseline:
         flat, base = [], []
-        for seed in config["baseline_seeds"]:
-            data = gen_synthetic(_task_spec(config, int(seed), "baseline_interaction_gain"))
-            mcfg = _build_model_config(config, [True, True], config["variants"][0],
-                                       int(config["heads"][0]), pooling_head="flatten")
-            model = HOTModel.initialize(mcfg, seed=int(seed))
-            res = train_model(model, data, steps=int(config["steps"]),
-                              batch_size=int(config["batch_size"]),
-                              lr=float(config["lr"]), seed=int(seed),
-                              eval_every=int(config["steps"]))
+        both = (True, True)
+        for seed in config.baseline_seeds:
+            data = gen_synthetic(_task_spec(config, seed, config.baseline_interaction_gain))
+            mcfg = _build_model_config(config, both, config.variants[0], config.heads[0],
+                                       pooling_head="flatten")
+            model = HOTModel.initialize(mcfg, seed=seed)
+            res = train_model(model, data, steps=config.steps, batch_size=config.batch_size,
+                              lr=config.lr, seed=seed, eval_every=config.steps)
             flat.append(res.final_train_mse)
-            base.append(train_linear_readout(data, int(config["steps"]),
-                                             batch_size=int(config["batch_size"]),
-                                             lr=float(config["lr"]), seed=int(seed)))
-            rows.append(["flatten-both", config["heads"][0], _mask_str([True, True]), seed,
+            base.append(train_linear_readout(data, config.steps, batch_size=config.batch_size,
+                                             lr=config.lr, seed=seed))
+            rows.append(["flatten-both", config.heads[0], _mask_str(both), seed,
                          flat[-1], math.nan, math.nan, 0, 0, model.parameter_count(), 0.0])
             rows.append(["linear-readout", 0, "-", seed, base[-1], math.nan, math.nan,
                          0, 0, 0, 0.0])
@@ -781,9 +837,8 @@ def cmd_ablate(config: dict, out_dir: Path) -> int:
 
     report.check("parameter count identical across grid", len(param_counts) == 1,
                  sorted(param_counts))
-    if config["assert_ordering"]:
-        variant = config["variants"][0]
-        heads = int(config["heads"][0])
+    if config.assert_ordering:
+        variant, heads = config.variants[0], config.heads[0]
         both = cell_means.get((variant, heads, (True, True)))
         time_only = cell_means.get((variant, heads, (True, False)))
         var_only = cell_means.get((variant, heads, (False, True)))
@@ -802,18 +857,17 @@ def cmd_ablate(config: dict, out_dir: Path) -> int:
     return report.finish({"cell_means": {str(k): v for k, v in cell_means.items()}})
 
 
-def cmd_train(config: dict, out_dir: Path) -> int:
+def cmd_train(config: TrainConfig, out_dir: Path) -> int:
     report = Report("train", out_dir)
-    mcfg = _build_model_config(config, config["mask"], config["variant"], int(config["heads"]))
-    data = gen_synthetic(_task_spec(config, int(config["task_seed"])))
-    model = HOTModel.initialize(mcfg, seed=int(config["seed"]))
-    res = train_model(model, data, steps=int(config["steps"]),
-                      batch_size=int(config["batch_size"]), lr=float(config["lr"]),
-                      seed=int(config["seed"]), eval_every=25)
+    mcfg = _build_model_config(config, config.mask, config.variant, config.heads)
+    data = gen_synthetic(_task_spec(config, config.task_seed))
+    model = HOTModel.initialize(mcfg, seed=config.seed)
+    res = train_model(model, data, steps=config.steps, batch_size=config.batch_size,
+                      lr=config.lr, seed=config.seed, eval_every=25)
     write_csv(out_dir / "train_log.csv",
               ["step", "train_loss", "val_mse", "val_mae", "seconds"],
               [list(r) for r in res.history])
-    if config["checkpoint"]:
+    if config.checkpoint:
         model.save(out_dir / "checkpoint")
     report.check("training ran to completion", True, res.final_train_mse)
     report.check("final loss finite", bool(np.isfinite(res.final_train_mse)))
@@ -861,11 +915,7 @@ def main(argv=None) -> int:
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    try:
-        return COMMANDS[args.command](config, out_dir)
-    except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 2
+    return COMMANDS[args.command](config, out_dir)
 
 
 if __name__ == "__main__":

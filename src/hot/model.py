@@ -21,9 +21,13 @@ training and inference; all parameters live in a flat name -> array dict.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import json
 import math
+import sys
+import types
+import typing
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -34,7 +38,7 @@ from . import diffops as ops
 from .attention import AttentionWeights, check_model_dims
 from .autodiff import Var
 from .features import FeatureMapSpec, projection_matrix
-from .io import read_tensor, write_tensor
+from .io import TensorFileError, read_tensor, write_tensor
 from .tensor import as_tensor
 
 VARIANTS = ("full-softmax", "full-linear", "factored-softmax", "factored-linear")
@@ -165,6 +169,76 @@ class ModelConfig:
     @property
     def patch_channels(self) -> int:
         return math.prod(self.patch.patch_sizes)
+
+
+def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Every parameter's name and shape, in the order :meth:`HOTModel.initialize` draws them."""
+    d, dh, f = config.block.d_model, config.block.d_head, config.block.hidden_dim
+    shapes = {"patch.w": (config.patch_channels, d), "patch.b": (d,)}
+    for b in range(config.num_blocks):
+        pre = f"block{b}"
+        for h in range(config.block.heads):
+            shapes |= {f"{pre}.attn.h{h}.wq": (d, dh), f"{pre}.attn.h{h}.wk": (d, dh),
+                       f"{pre}.attn.h{h}.wv": (d, dh), f"{pre}.attn.h{h}.wo": (dh, d)}
+        shapes |= {f"{pre}.ln1.gamma": (d,), f"{pre}.ln1.beta": (d,),
+                   f"{pre}.ffn.w1": (d, f), f"{pre}.ffn.b1": (f,),
+                   f"{pre}.ffn.w2": (f, d), f"{pre}.ffn.b2": (d,),
+                   f"{pre}.ln2.gamma": (d,), f"{pre}.ln2.beta": (d,)}
+    pooled_dim = d if config.head.pooling == "mean" else math.prod(config.token_dims) * d
+    shapes |= {"head.w": (pooled_dim, config.head.out_dim), "head.b": (config.head.out_dim,)}
+    return shapes
+
+
+# ---------------------------------------------------------------------------
+# JSON documents
+
+
+def from_json(cls, value, where: str):
+    """Build dataclass ``cls`` from decoded JSON ``value`` by its type hints.
+
+    The object must have exactly the fields of ``cls``.  ``int`` takes an
+    integer (not a boolean), ``float`` a number or an integer, a fixed or
+    variadic ``tuple`` an array, ``dict[str, X]`` an object, a nested
+    dataclass an object, and ``X | None`` also null.  Anything else raises
+    ``TypeError`` naming the path from ``where``, e.g. ``train.mask[0]``;
+    the dataclasses' own checks raise ``ValueError``.
+    """
+    if not isinstance(value, dict):
+        raise TypeError(f"{where} must be an object, got {json.dumps(value)}")
+    names = [f.name for f in dataclasses.fields(cls)]
+    if set(value) != set(names):
+        raise TypeError(f"{where}: missing keys {sorted(set(names) - set(value))}, "
+                        f"unknown keys {sorted(set(value) - set(names))}")
+    hints = typing.get_type_hints(cls)
+    return cls(**{n: _decode(hints[n], value[n], f"{where}.{n}") for n in names})
+
+
+def _decode(tp, value, where: str):
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if dataclasses.is_dataclass(tp):
+        return from_json(tp, value, where)
+    if origin is types.UnionType:  # X | None
+        return None if value is None else _decode(args[0], value, where)
+    if origin is tuple:
+        variadic = args[-1] is Ellipsis
+        want = "an array" if variadic else f"an array of {len(args)}"
+        if isinstance(value, list) and (variadic or len(value) == len(args)):
+            item_types = args[:1] * len(value) if variadic else args
+            return tuple(_decode(t, v, f"{where}[{i}]")
+                         for i, (t, v) in enumerate(zip(item_types, value)))
+    elif origin is dict:
+        want = "an object"
+        if isinstance(value, dict):
+            return {k: _decode(args[1], v, f"{where}.{k}") for k, v in value.items()}
+    elif tp is float:
+        want = "a number"
+        if type(value) is float or type(value) is int and abs(value) <= sys.float_info.max:
+            return float(value)
+    else:
+        want = {int: "an integer", str: "a string", bool: "a boolean"}[tp]
+        if type(value) is tp:
+            return value
+    raise TypeError(f"{where} must be {want}, got {json.dumps(value)}")
 
 
 # ---------------------------------------------------------------------------
@@ -360,35 +434,14 @@ class HOTModel:
         """Glorot-uniform weights, zero biases, unit layer-norm gains."""
         rng = np.random.default_rng(seed)
 
-        def glorot(fan_in, fan_out):
-            limit = math.sqrt(6.0 / (fan_in + fan_out))
-            return rng.uniform(-limit, limit, size=(fan_in, fan_out))
+        def init(name, shape):
+            if len(shape) == 2:
+                limit = math.sqrt(6.0 / sum(shape))
+                return rng.uniform(-limit, limit, size=shape)
+            return np.ones(shape) if name.endswith(".gamma") else np.zeros(shape)
 
-        d = config.block.d_model
-        dh = config.block.d_head
-        f = config.block.hidden_dim
-        params: dict[str, np.ndarray] = {}
-        params["patch.w"] = glorot(config.patch_channels, d)
-        params["patch.b"] = np.zeros(d)
-        for b in range(config.num_blocks):
-            pre = f"block{b}"
-            for h in range(config.block.heads):
-                params[f"{pre}.attn.h{h}.wq"] = glorot(d, dh)
-                params[f"{pre}.attn.h{h}.wk"] = glorot(d, dh)
-                params[f"{pre}.attn.h{h}.wv"] = glorot(d, dh)
-                params[f"{pre}.attn.h{h}.wo"] = glorot(dh, d)
-            params[f"{pre}.ln1.gamma"] = np.ones(d)
-            params[f"{pre}.ln1.beta"] = np.zeros(d)
-            params[f"{pre}.ffn.w1"] = glorot(d, f)
-            params[f"{pre}.ffn.b1"] = np.zeros(f)
-            params[f"{pre}.ffn.w2"] = glorot(f, d)
-            params[f"{pre}.ffn.b2"] = np.zeros(d)
-            params[f"{pre}.ln2.gamma"] = np.ones(d)
-            params[f"{pre}.ln2.beta"] = np.zeros(d)
-        pooled_dim = d if config.head.pooling == "mean" else math.prod(config.token_dims) * d
-        params["head.w"] = glorot(pooled_dim, config.head.out_dim)
-        params["head.b"] = np.zeros(config.head.out_dim)
-        return cls(config, params)
+        return cls(config, {name: init(name, shape)
+                            for name, shape in param_shapes(config).items()})
 
     def parameter_count(self) -> int:
         return sum(p.size for p in self.params.values())
@@ -441,60 +494,44 @@ class HOTModel:
     def load(cls, directory) -> "HOTModel":
         """Read a checkpoint written by :meth:`save`.
 
-        The manifest must list exactly the parameters of
-        ``initialize(config)``, each in a file directly inside ``directory``
-        with the parameter's shape; otherwise ``ValueError`` names the
-        parameter.  Missing or unknown manifest keys, and a ``config`` or
-        ``params`` that is not a JSON object, also raise ``ValueError``.
+        The manifest's keys must match exactly at every depth and its values
+        must have the JSON types of :class:`ModelConfig`'s fields; otherwise
+        ``ValueError`` names the path.  It must list exactly the parameters of
+        :func:`param_shapes`, each in a readable tensor file directly inside
+        ``directory`` with the parameter's shape; otherwise ``ValueError``
+        names the parameter.
         """
         directory = Path(directory)
-        manifest = json.loads((directory / "manifest.json").read_text())
         try:
-            config = _config_from_dict(manifest["config"])
-            files = manifest["params"]
-            if not isinstance(files, dict):
-                raise TypeError(f"params is a JSON {type(files).__name__}, not an object")
-        except (KeyError, TypeError) as e:
-            raise ValueError(f"malformed manifest in {directory}: {e!r}") from e
-        expected = cls.initialize(config).params
-        mismatched = sorted(set(expected) ^ set(files))
+            manifest = from_json(_Manifest, json.loads((directory / "manifest.json").read_text()),
+                                 "manifest")
+        except TypeError as e:
+            raise ValueError(f"malformed manifest in {directory}: {e}") from e
+        shapes = param_shapes(manifest.config)
+        mismatched = sorted(set(shapes) ^ set(manifest.params))
         if mismatched:
             name = mismatched[0]
-            where = "missing from" if name in expected else "unknown to"
+            where = "missing from" if name in shapes else "unknown to"
             raise ValueError(f"parameter {name!r} is {where} the model configured in {directory}")
         params = {}
-        for name, fname in files.items():
-            if not isinstance(fname, str) or fname in ("", "..") or Path(fname).name != fname:
+        for name, fname in manifest.params.items():
+            if fname in ("", "..") or Path(fname).name != fname:
                 raise ValueError(f"parameter {name!r}: file name {fname!r} is not a bare name "
                                  f"inside {directory}")
-            value = read_tensor(directory / fname)
-            if value.shape != expected[name].shape:
+            try:
+                value = read_tensor(directory / fname)
+            except (OSError, TensorFileError) as e:
+                raise ValueError(f"parameter {name!r}: {e}") from e
+            if value.shape != shapes[name]:
                 raise ValueError(f"parameter {name!r} has shape {value.shape}, "
-                                 f"expected {expected[name].shape}")
+                                 f"expected {shapes[name]}")
             params[name] = value
-        return cls(config, params)
+        return cls(manifest.config, params)
 
 
-def _config_from_dict(d: dict) -> ModelConfig:
-    spec = d["block"].get("feature_spec")
-    block = HOTBlockConfig(
-        dims=tuple(d["block"]["dims"]),
-        d_model=d["block"]["d_model"],
-        heads=d["block"]["heads"],
-        variant=d["block"]["variant"],
-        ffn_dim=d["block"]["ffn_dim"],
-        mode_mask=tuple(d["block"]["mode_mask"]),
-        feature_spec=FeatureMapSpec(**spec) if spec else None,
-        ln_eps=d["block"]["ln_eps"],
-        norm_placement=d["block"]["norm_placement"],
-        pooling=d["block"]["pooling"],
-    )
-    head = HeadConfig(**d["head"])
-    return ModelConfig(
-        raw_dims=tuple(d["raw_dims"]),
-        patch=PatchEmbedConfig(patch_sizes=tuple(d["patch"]["patch_sizes"])),
-        rotary=RotaryConfig(modes=tuple(d["rotary"]["modes"]), base=d["rotary"]["base"]),
-        block=block,
-        num_blocks=d["num_blocks"],
-        head=head,
-    )
+@dataclass(frozen=True)
+class _Manifest:
+    """A checkpoint's ``manifest.json``: the model config and parameter file names."""
+
+    config: ModelConfig
+    params: dict[str, str]

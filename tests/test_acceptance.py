@@ -253,12 +253,8 @@ class TestCriterion10Determinism:
     def test_reruns_byte_identical(self, tmp_path):
         from hot.cli import cmd_equiv, cmd_kronrank, load_config
 
-        eq_cfg = load_config("equiv", None, {})
-        eq_cfg["shapes"] = [[2, 3], [4]]
-        eq_cfg["seeds"] = [0, 1]
-        kr_cfg = load_config("kronrank", None, {})
-        kr_cfg["dims_list"] = [[2, 2]]
-        kr_cfg["seeds"] = [0]
+        eq_cfg = load_config("equiv", None, {"shapes": [[2, 3], [4]], "seeds": [0, 1]})
+        kr_cfg = load_config("kronrank", None, {"dims_list": [[2, 2]], "seeds": [0]})
         outs = []
         for name in ("a", "b"):
             d = tmp_path / name

@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 import hot.attention
+import hot.cli
 import hot.model
 from hot import autodiff as ad
-from hot.cli import ConfigError, load_config, main
+from hot.cli import CONFIGS, ConfigError, load_config, main
 
 
 def run_cli(args):
@@ -38,12 +39,12 @@ class TestConfig:
 
     def test_seed_flag_overrides(self):
         cfg = load_config("equiv", None, {"seeds": [42]})
-        assert cfg["seeds"] == [42]
+        assert cfg.seeds == (42,)
 
     def test_defaults_complete(self):
         for command in ("equiv", "gradcheck", "kronrank", "bench", "ablate", "train"):
             cfg = load_config(command, None, {})
-            assert isinstance(cfg, dict) and cfg
+            assert isinstance(cfg, CONFIGS[command])
 
     def test_config_must_be_object(self, tmp_path):
         cfg = tmp_path / "list.json"
@@ -55,7 +56,7 @@ class TestConfig:
         cfg = tmp_path / "train.json"
         # an integer is a number, and the unset mask may be given as a list
         cfg.write_text(json.dumps({"lr": 1, "mask": [True, False]}))
-        assert load_config("train", str(cfg), {})["mask"] == [True, False]
+        assert load_config("train", str(cfg), {}).mask == (True, False)
         for bad in ({"steps": 2.5}, {"checkpoint": 1}, {"heads": None}, {"rotary_modes": 0}):
             cfg.write_text(json.dumps(bad))
             with pytest.raises(ConfigError, match=next(iter(bad))):
@@ -105,6 +106,40 @@ class TestConfig:
         cfg.write_text(json.dumps(bad))
         assert run_cli([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert "config error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,bad", [
+        ("train", {"steps": 0}),
+        ("train", {"steps": -3}),
+        ("train", {"lr": -1}),
+        ("train", {"batch_size": 0}),
+        ("bench", {"variants": ["full-linear"], "grids": {"full-linear": [[0, 4], [8, 8]]}}),
+        ("bench", {"variants": ["full-linear"], "grids": {"full-linear": [[4, 4]]}}),
+        ("bench", {"variants": ["full-linear"], "grids": {"full-linear": [[2, 8], [4, 4]]}}),
+        ("equiv", {"shapes": [[0]]}),
+        ("equiv", {"seeds": [-1]}),
+        ("kronrank", {"dims_list": [[0, 2]]}),
+        ("kronrank", {"dims_list": [[]]}),
+        ("gradcheck", {"eps": 0}),
+        ("gradcheck", {"min_coords": -1}),
+        ("ablate", {"heads": []}),
+        ("ablate", {"variants": []}),
+        ("ablate", {"t_len": 64, "n_series": 65, "d_model": 64, "n_train": 8, "n_val": 4}),
+    ], ids=["train-steps-0", "train-steps-negative", "train-lr-negative", "train-batch-0",
+            "bench-grid-entry-0", "bench-one-grid", "bench-one-token-count", "equiv-shape-0",
+            "equiv-seed-negative", "kronrank-dim-0", "kronrank-no-modes", "gradcheck-eps-0",
+            "gradcheck-min-coords-negative", "ablate-no-heads", "ablate-no-variants",
+            "ablate-baseline-over-flatten-cap"])
+    def test_out_of_range_value_exits_2_before_any_work(self, tmp_path, capsys, monkeypatch,
+                                                         command, bad):
+        def no_training(*args, **kwargs):
+            raise AssertionError("train_model ran before the config was rejected")
+
+        monkeypatch.setattr(hot.cli, "train_model", no_training)
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(bad))
+        assert run_cli([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "config error:" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command,extra", [
         ("equiv", {"shapes": [[2, 3]], "heads": [1], "seeds": [0]}),

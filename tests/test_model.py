@@ -22,6 +22,7 @@ from hot.model import (
     VARIANTS,
     attention_sublayer,
     _rotary_v,
+    param_shapes,
     patchify,
 )
 from hot.train import SyntheticTaskSpec, gen_synthetic, train_model
@@ -498,8 +499,22 @@ class TestCheckpoint:
         lambda m: m.update(config=[m["config"]]),
         lambda m: m.pop("params"),
         lambda m: m.update(params=sorted(m["params"])),
+        lambda m: m.update(extra=1),
+        lambda m: m["config"].update(extra=1),
+        lambda m: m["config"]["block"].update(extra=1),
+        lambda m: m["config"]["rotary"].update(extra=1),
+        lambda m: m["config"]["patch"].update(extra=1),
+        lambda m: m["config"]["block"].update(d_model=8.0),
+        lambda m: m["config"]["block"].update(heads=True),
+        lambda m: m["config"]["block"].update(ln_eps="x"),
+        lambda m: m["config"]["rotary"].update(base="x"),
+        lambda m: m["config"]["block"]["feature_spec"].update(num_features=8.0),
+        lambda m: m["config"].update(block=[m["config"]["block"]]),
     ], ids=["missing-pooling", "extra-head-key", "extra-feature-spec-key", "config-list",
-            "no-params", "params-list"])
+            "no-params", "params-list", "extra-top-level-key", "extra-config-key",
+            "extra-block-key", "extra-rotary-key", "extra-patch-key", "float-d_model",
+            "boolean-heads", "string-ln_eps", "string-rotary-base", "float-num_features",
+            "block-list"])
     def test_malformed_manifest_raises_value_error(self, tmp_path, corrupt):
         HOTModel.initialize(small_config(variant="factored-linear"), seed=10).save(tmp_path / "ckpt")
         path = tmp_path / "ckpt" / "manifest.json"
@@ -508,3 +523,22 @@ class TestCheckpoint:
         path.write_text(json.dumps(manifest))
         with pytest.raises(ValueError, match="malformed manifest in .*ckpt"):
             HOTModel.load(tmp_path / "ckpt")
+
+    @pytest.mark.parametrize("fname", ["absent.hot", "manifest.json"])
+    def test_unreadable_parameter_file_rejected(self, tmp_path, fname):
+        path, manifest = self._saved_manifest(tmp_path)
+        manifest["params"]["head.b"] = fname
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match="'head.b'"):
+            HOTModel.load(tmp_path / "ckpt")
+
+    def test_load_draws_no_weights(self, tmp_path, monkeypatch):
+        HOTModel.initialize(small_config(), seed=10).save(tmp_path / "ckpt")
+        monkeypatch.setattr(np.random, "default_rng", None)
+        assert HOTModel.load(tmp_path / "ckpt").parameter_count() > 0
+
+
+def test_param_shapes_lists_initialize_params_in_order():
+    cfg = small_config(variant="factored-linear", pooling="flatten", blocks=2)
+    params = HOTModel.initialize(cfg, seed=0).params
+    assert [(name, p.shape) for name, p in params.items()] == list(param_shapes(cfg).items())
