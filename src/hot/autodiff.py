@@ -12,7 +12,10 @@ returns a constant when no operand is tracked; otherwise it makes the output
 on the tape and records one node, which calls ``backward(out.grad)`` only if
 an adjoint reached the output.  Replaying the tape in reverse visits each
 recorded op exactly once.  Gradients accumulate into ``Var.grad`` buffers with
-the same shape as the primal values.
+the same shape as the primal values.  The sweep pops each node off the tape
+before it runs it, so a node's closure, and with it the forward values and
+adjoints only it holds, is freed as soon as the sweep has passed it rather
+than when the tape is dropped.
 
 Adjoints are shared, not copied: a ``Var`` may keep as its ``grad`` a view or
 alias of another node's adjoint (a reshape, an add's pass-through, a
@@ -24,9 +27,11 @@ that is still borrowed, so leaf gradients are private and writable.
 
 A ``Var`` holds its tape weakly, while the tape holds its closures and they
 hold the ``Var`` objects.  So the caller's ``Tape`` is the only strong
-reference to a graph: when the caller drops or rebinds it, reference counting
-frees every recorded node at once, without waiting for the cyclic collector.
-An op on a tracked ``Var`` whose tape is gone raises ``ValueError``.
+reference to a graph: when the caller drops or rebinds it before running
+backward, reference counting frees every recorded node at once, without
+waiting for the cyclic collector; after ``Tape.backward`` only the leaves and
+the ``Var`` objects the caller still holds are left.  An op on a tracked
+``Var`` whose tape is gone raises ``ValueError``.
 
 Allocator policy.  A train step frees its whole graph, and the next step
 allocates the same arrays again; ``predict`` does the same from call to call.
@@ -94,7 +99,11 @@ class Tape:
         self._nodes.append(fn)
 
     def backward(self, loss: "Var") -> None:
-        """Seed the scalar ``loss`` with adjoint 1 and sweep the tape in reverse."""
+        """Seed the scalar ``loss`` with adjoint 1 and sweep the tape in reverse.
+
+        Each node is released as the sweep passes it, so afterwards the tape
+        holds only its leaves.
+        """
         if self._consumed:
             raise TapeConsumedError("tape already consumed by a previous backward()")
         if loss.value.size != 1:
@@ -102,8 +111,9 @@ class Tape:
         self._consumed = True
         loss.grad = np.ones_like(loss.value)
         loss.owns_grad = True
-        for fn in reversed(self._nodes):
-            fn()
+        nodes = self._nodes
+        while nodes:
+            nodes.pop()()  # the node is freed once it has run
         for v in self._leaves:
             if v.grad is not None and not v.owns_grad:
                 v.grad = np.array(v.grad, dtype=np.float64)
@@ -113,7 +123,7 @@ class Tape:
 class Var:
     """A value in the computation graph; ``grad`` is filled by ``Tape.backward``."""
 
-    __slots__ = ("value", "grad", "owns_grad", "_tape")
+    __slots__ = ("value", "grad", "owns_grad", "_tape", "__weakref__")
 
     def __init__(self, value: np.ndarray, tape: Tape | None):
         self.value = np.asarray(value, dtype=np.float64)

@@ -185,7 +185,11 @@ class BenchConfig:
             _check(len({math.prod(dims) for dims in grid}) >= 2, f"grids.{variant}",
                    "hold at least two token counts to fit a slope")
         check_model_dims(self.d_model, self.heads)
-        FeatureMapSpec(self.feature_count, self.d_model // self.heads)
+        spec = FeatureMapSpec(self.feature_count, self.d_model // self.heads)
+        for variant in self.variants:  # the blocks attention_sublayer builds from each grid
+            for dims in self.grids[variant]:
+                HOTBlockConfig(dims=dims, d_model=self.d_model, heads=self.heads, variant=variant,
+                               feature_spec=spec if "linear" in variant else None)
         _check(self.warmups >= 0, "warmups", "be >= 0")
         _check(self.seed >= 0, "seed", "be >= 0")
         for variant, (lo, hi) in self.slope_windows.items():

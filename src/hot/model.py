@@ -35,13 +35,14 @@ import numpy as np
 
 from . import autodiff as ad
 from . import diffops as ops
-from .attention import AttentionWeights, check_model_dims
+from .attention import DEFAULT_ORACLE_CAP, AttentionWeights, check_model_dims
 from .autodiff import Var
 from .features import FeatureMapSpec, projection_matrix
 from .io import TensorFileError, read_tensor, write_tensor
 from .tensor import as_tensor
 
 VARIANTS = ("full-softmax", "full-linear", "factored-softmax", "factored-linear")
+PREDICT_CHUNK = 64  # samples per forward in HOTModel.predict
 
 
 @dataclass(frozen=True)
@@ -86,6 +87,9 @@ class HOTBlockConfig:
             raise ValueError("norm_placement must be 'post' or 'pre'")
         if self.pooling not in ("sum", "mean"):
             raise ValueError("pooling must be 'sum' or 'mean'")
+        if self.variant == "full-softmax" and math.prod(self.dims) > DEFAULT_ORACLE_CAP:
+            raise ValueError(f"full-softmax over {math.prod(self.dims)} tokens exceeds the cap "
+                             f"of {DEFAULT_ORACLE_CAP}; its score matrix is quadratic in tokens")
         if "linear" in self.variant and self.feature_spec is None:
             raise ValueError(f"variant {self.variant} needs a feature_spec")
         if self.feature_spec is not None and self.feature_spec.input_dim != self.d_head:
@@ -173,20 +177,25 @@ class ModelConfig:
 
 def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     """Every parameter's name and shape, in the order :meth:`HOTModel.initialize` draws them."""
+    return dict(_iter_param_shapes(config))
+
+
+def _iter_param_shapes(config: ModelConfig):
+    """:func:`param_shapes` as ``(name, shape)`` pairs, one at a time."""
     d, dh, f = config.block.d_model, config.block.d_head, config.block.hidden_dim
-    shapes = {"patch.w": (config.patch_channels, d), "patch.b": (d,)}
+    yield from {"patch.w": (config.patch_channels, d), "patch.b": (d,)}.items()
     for b in range(config.num_blocks):
         pre = f"block{b}"
         for h in range(config.block.heads):
-            shapes |= {f"{pre}.attn.h{h}.wq": (d, dh), f"{pre}.attn.h{h}.wk": (d, dh),
-                       f"{pre}.attn.h{h}.wv": (d, dh), f"{pre}.attn.h{h}.wo": (dh, d)}
-        shapes |= {f"{pre}.ln1.gamma": (d,), f"{pre}.ln1.beta": (d,),
-                   f"{pre}.ffn.w1": (d, f), f"{pre}.ffn.b1": (f,),
-                   f"{pre}.ffn.w2": (f, d), f"{pre}.ffn.b2": (d,),
-                   f"{pre}.ln2.gamma": (d,), f"{pre}.ln2.beta": (d,)}
+            yield from {f"{pre}.attn.h{h}.wq": (d, dh), f"{pre}.attn.h{h}.wk": (d, dh),
+                        f"{pre}.attn.h{h}.wv": (d, dh), f"{pre}.attn.h{h}.wo": (dh, d)}.items()
+        yield from {f"{pre}.ln1.gamma": (d,), f"{pre}.ln1.beta": (d,),
+                    f"{pre}.ffn.w1": (d, f), f"{pre}.ffn.b1": (f,),
+                    f"{pre}.ffn.w2": (f, d), f"{pre}.ffn.b2": (d,),
+                    f"{pre}.ln2.gamma": (d,), f"{pre}.ln2.beta": (d,)}.items()
     pooled_dim = d if config.head.pooling == "mean" else math.prod(config.token_dims) * d
-    shapes |= {"head.w": (pooled_dim, config.head.out_dim), "head.b": (config.head.out_dim,)}
-    return shapes
+    yield from {"head.w": (pooled_dim, config.head.out_dim),
+                "head.b": (config.head.out_dim,)}.items()
 
 
 # ---------------------------------------------------------------------------
@@ -475,7 +484,15 @@ class HOTModel:
         return out
 
     def predict(self, x_raw: np.ndarray) -> np.ndarray:
-        return self.forward(x_raw).value
+        """``forward(x_raw).value``, computed over chunks of :data:`PREDICT_CHUNK` samples.
+
+        Only one chunk's working set is alive at a time, so memory does not
+        grow with the number of samples.
+        """
+        if x_raw.shape[0] <= PREDICT_CHUNK:
+            return self.forward(x_raw).value
+        return np.concatenate([self.forward(x_raw[i:i + PREDICT_CHUNK]).value
+                               for i in range(0, x_raw.shape[0], PREDICT_CHUNK)])
 
     # -- checkpointing ------------------------------------------------------
 
@@ -494,25 +511,24 @@ class HOTModel:
     def load(cls, directory) -> "HOTModel":
         """Read a checkpoint written by :meth:`save`.
 
-        The manifest's keys must match exactly at every depth and its values
-        must have the JSON types of :class:`ModelConfig`'s fields; otherwise
-        ``ValueError`` names the path.  It must list exactly the parameters of
-        :func:`param_shapes`, each in a readable tensor file directly inside
-        ``directory`` with the parameter's shape; otherwise ``ValueError``
-        names the parameter.
+        A missing or unreadable ``manifest.json`` raises ``ValueError`` naming
+        ``directory``.  The manifest's keys must match exactly at every depth
+        and its values must have the JSON types of :class:`ModelConfig`'s
+        fields; otherwise ``ValueError`` names the path.  It must list exactly
+        the parameters of :func:`param_shapes`, each in a readable tensor file
+        directly inside ``directory`` with the parameter's shape; otherwise
+        ``ValueError`` names the parameter.
         """
         directory = Path(directory)
         try:
-            manifest = from_json(_Manifest, json.loads((directory / "manifest.json").read_text()),
-                                 "manifest")
-        except TypeError as e:
+            text = (directory / "manifest.json").read_text()
+        except (OSError, ValueError) as e:  # ValueError: not UTF-8
+            raise ValueError(f"no readable manifest.json in {directory}: {e}") from e
+        try:
+            manifest = from_json(_Manifest, json.loads(text), "manifest")
+        except (TypeError, json.JSONDecodeError) as e:
             raise ValueError(f"malformed manifest in {directory}: {e}") from e
-        shapes = param_shapes(manifest.config)
-        mismatched = sorted(set(shapes) ^ set(manifest.params))
-        if mismatched:
-            name = mismatched[0]
-            where = "missing from" if name in shapes else "unknown to"
-            raise ValueError(f"parameter {name!r} is {where} the model configured in {directory}")
+        shapes = _listed_param_shapes(manifest, directory)
         params = {}
         for name, fname in manifest.params.items():
             if fname in ("", "..") or Path(fname).name != fname:
@@ -535,3 +551,25 @@ class _Manifest:
 
     config: ModelConfig
     params: dict[str, str]
+
+
+def _listed_param_shapes(manifest: _Manifest, directory: Path) -> dict[str, tuple[int, ...]]:
+    """:func:`param_shapes` of the manifest's config, if it lists exactly those parameters.
+
+    Otherwise ``ValueError`` names a parameter missing from the manifest or
+    unknown to the model.  The table is walked lazily and the walk stops at
+    the first name the manifest does not list, so a config with a huge
+    parameter count costs no more than the manifest's own length.
+    """
+    listed = manifest.params
+    shapes = {}
+    for name, shape in _iter_param_shapes(manifest.config):
+        if name not in listed:
+            raise ValueError(f"parameter {name!r} of the model configured in {directory} is "
+                             "missing from its manifest")
+        shapes[name] = shape
+    unknown = sorted(set(listed) - set(shapes))
+    if unknown:
+        raise ValueError(f"parameter {unknown[0]!r} is unknown to the model configured in "
+                         f"{directory}")
+    return shapes

@@ -378,6 +378,40 @@ class TestTapeLifetime:
             gc.enable()
         assert all(np.isfinite(v.grad).all() for v in leaves.values() if v.grad is not None)
 
+    def test_backward_frees_each_node_while_the_tape_lives(self):
+        tape = Tape()
+        x = tape.var(np.linspace(-1.0, 1.0, 5))
+        h = ad.exp(x)
+        alive = weakref.ref(h)
+        loss = ad.sum_axes(ad.mul(h, h))
+        del h
+        tape.backward(loss)
+        assert alive() is None
+        e = np.exp(x.value)
+        assert np.array_equal(x.grad, (e + e) * e)
+        with pytest.raises(TapeConsumedError):
+            tape.backward(loss)
+
+    def test_releasing_nodes_leaves_model_gradients_unchanged(self):
+        # the same step twice: once as backward runs it, once with every node kept alive
+        cfg = ModelConfig(
+            raw_dims=(32, 8), patch=PatchEmbedConfig((4, 1)), rotary=RotaryConfig(modes=(0, 1)),
+            block=HOTBlockConfig(dims=(8, 8), d_model=32, heads=4, ffn_dim=64),
+            num_blocks=1, head=HeadConfig(task="forecast", pooling="mean", horizon=4, n_series=8),
+        )
+        model = HOTModel.initialize(cfg, seed=0)
+        rng = np.random.default_rng(20)
+        x, y = rng.standard_normal((4, 32, 8)), rng.standard_normal((4, 4, 8))
+        grads = []
+        for keep in (False, True):
+            tape = Tape()
+            loss, leaves = model_loss(model, x, y, tape)
+            kept = list(tape._nodes) if keep else []
+            tape.backward(loss)
+            grads.append({k: v.grad for k, v in leaves.items()})
+            del kept
+        assert all(np.array_equal(grads[0][k], grads[1][k]) for k in grads[0])
+
     def test_op_on_a_leaf_of_a_freed_tape_raises(self):
         x = Tape().var(np.ones(3))
         with pytest.raises(ValueError, match="freed"):

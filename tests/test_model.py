@@ -3,12 +3,14 @@
 import gc
 import json
 import math
+import time
 
 import numpy as np
 import pytest
 
 from hot import autodiff as ad
-from hot.attention import full_high_order_attention, materialized_attention, random_attention_weights
+from hot.attention import (DEFAULT_ORACLE_CAP, full_high_order_attention, materialized_attention,
+                           random_attention_weights)
 from hot.autodiff import Tape
 from hot.features import FeatureMapSpec
 from hot.io import write_tensor
@@ -17,6 +19,7 @@ from hot.model import (
     HOTBlockConfig,
     HOTModel,
     ModelConfig,
+    PREDICT_CHUNK,
     PatchEmbedConfig,
     RotaryConfig,
     VARIANTS,
@@ -325,6 +328,32 @@ class TestModelForward:
         assert len(set(counts.values())) == 1, counts
 
     @TRAINING_CONFIGS
+    def test_predict_runs_forward_in_chunks(self, cfg, monkeypatch):
+        model = HOTModel.initialize(cfg, seed=2)
+        x = np.random.default_rng(16).standard_normal((2 * PREDICT_CHUNK + 2,) + cfg.raw_dims)
+        whole = model.forward(x).value
+        chunks = []
+
+        def forward(x_raw):
+            chunks.append(HOTModel.forward(model, x_raw).value)
+            return ad.constant(chunks[-1])
+
+        monkeypatch.setattr(model, "forward", forward)
+        out = model.predict(x)
+        assert [len(c) for c in chunks] == [PREDICT_CHUNK, PREDICT_CHUNK, 2]
+        assert np.array_equal(out, np.concatenate(chunks))
+        assert np.abs(out - whole).max() <= 1e-12
+
+    def test_predict_on_no_samples_is_forward(self):
+        model = HOTModel.initialize(small_config(), seed=2)
+        x = np.zeros((0, 4, 5))
+        with pytest.raises(ValueError) as want:
+            model.forward(x)
+        with pytest.raises(ValueError) as got:
+            model.predict(x)
+        assert str(got.value) == str(want.value)
+
+    @TRAINING_CONFIGS
     def test_predict_leaves_no_reference_cycles(self, cfg):
         # a cycle would keep each call's activations alive until the cyclic collector runs
         model = HOTModel.initialize(cfg, seed=0)
@@ -419,6 +448,13 @@ class TestConfigValidation:
                 num_blocks=1,
                 head=HeadConfig(task="forecast", pooling="mean", horizon=1, n_series=1),
             )
+
+    def test_full_softmax_token_cap(self):
+        side = math.isqrt(DEFAULT_ORACLE_CAP)
+        HOTBlockConfig(dims=(side, side), d_model=8, heads=2, variant="full-softmax")
+        with pytest.raises(ValueError, match=f"exceeds the cap of {DEFAULT_ORACLE_CAP}"):
+            HOTBlockConfig(dims=(side + 1, side), d_model=8, heads=2, variant="full-softmax")
+        HOTBlockConfig(dims=(side + 1, side), d_model=8, heads=2, variant="factored-softmax")
 
     def test_flatten_cap_enforced(self):
         with pytest.raises(ValueError):
@@ -531,6 +567,29 @@ class TestCheckpoint:
         path.write_text(json.dumps(manifest))
         with pytest.raises(ValueError, match="'head.b'"):
             HOTModel.load(tmp_path / "ckpt")
+
+    def test_missing_manifest_raises_value_error(self, tmp_path):
+        self._saved_manifest(tmp_path)[0].unlink()
+        with pytest.raises(ValueError, match="manifest.json in .*ckpt"):
+            HOTModel.load(tmp_path / "ckpt")
+        with pytest.raises(ValueError, match="manifest.json in .*absent"):
+            HOTModel.load(tmp_path / "absent")
+        (tmp_path / "ckpt" / "manifest.json").write_text("{")
+        with pytest.raises(ValueError, match="malformed manifest in .*ckpt"):
+            HOTModel.load(tmp_path / "ckpt")
+
+    @pytest.mark.parametrize("enlarge", [
+        lambda c: c.update(num_blocks=10**7),
+        lambda c: c["block"].update(d_model=10**7, heads=5 * 10**6),
+    ], ids=["num_blocks", "heads"])
+    def test_huge_config_rejected_in_time_of_manifest_length(self, tmp_path, enlarge):
+        path, manifest = self._saved_manifest(tmp_path)
+        enlarge(manifest["config"])
+        path.write_text(json.dumps(manifest))
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="missing from its manifest"):
+            HOTModel.load(tmp_path / "ckpt")
+        assert time.perf_counter() - start < 1.0
 
     def test_load_draws_no_weights(self, tmp_path, monkeypatch):
         HOTModel.initialize(small_config(), seed=10).save(tmp_path / "ckpt")
