@@ -2,7 +2,9 @@
 oracles, random features, reverse-mode gradients, and benchmark tooling.
 
 The attention variants that train and predict are the model's sublayer,
-:func:`hot.model.attention_sublayer_v`."""
+:func:`hot.model.attention_sublayer_v`: one loop over token modes, in which the
+full variants are one flattened mode holding every token, so a mask that turns
+a mode off is refused for them."""
 
 from .attention import (
     AttentionWeights,

@@ -2,8 +2,10 @@
 
 Inputs are tensors of shape ``(N_0, ..., N_{k-1}, D)``: k positional modes and
 one hidden mode.  The four attention variants that train and predict live in
-one place, :func:`hot.model.attention_sublayer_v`; this module holds the exact
-references they are checked against:
+one place, :func:`hot.model.attention_sublayer_v`: one loop over modes, where
+the full variants are a single mode holding every token (so they take no mask
+that turns a mode off).  This module holds the exact references they are
+checked against:
 
 * ``full_high_order_attention``  exact softmax over flattened tokens; the
                                  quadratic oracle, refused above a size cap.

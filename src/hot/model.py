@@ -2,7 +2,7 @@
 
 A block is the standard encoder arrangement (attention sublayer, feed-forward
 sublayer, residuals, layer norm; post-norm by default) with the attention
-sublayer picked from the four variants, all implemented once, in
+sublayer picked from the four variants, all run by the one mode loop of
 :func:`attention_sublayer_v`.  The model pipeline is
 
     raw input -> patch embedding -> B blocks -> pooling head -> task output
@@ -83,6 +83,9 @@ class HOTBlockConfig:
         check_model_dims(self.d_model, self.heads)
         if self.mode_mask and len(self.mode_mask) != len(self.dims):
             raise ValueError("mode_mask length must equal the number of token modes")
+        if self.variant.startswith("full") and not all(self.mode_mask):
+            raise ValueError(f"variant {self.variant} attends over all tokens as one mode; "
+                             f"mode_mask {self.mode_mask} cannot turn a mode off")
         if self.norm_placement not in ("post", "pre"):
             raise ValueError("norm_placement must be 'post' or 'pre'")
         if self.pooling not in ("sum", "mean"):
@@ -332,8 +335,7 @@ def _pooled(t: Var, axis: int, pooling: str, lead: int = 2) -> Var:
 
 
 def _flatten_tokens(t: Var) -> Var:
-    b, h, e = t.shape[0], t.shape[1], t.shape[-1]
-    return ad.reshape(t, (b, h, t.value.size // (b * h * e), e))
+    return ad.reshape(t, t.shape[:2] + (-1, t.shape[-1]))
 
 
 def _split_heads(t: Var, heads: int, d_head: int) -> Var:
@@ -350,46 +352,38 @@ def _scores(q: Var, k: Var) -> Var:
 
 
 def attention_sublayer_v(x: Var, cfg: HOTBlockConfig, rotary: RotaryConfig,
-                         params: dict[str, Var], prefix: str) -> Var:
+                         wq: Var, wk: Var, wv: Var, wo: Var) -> Var:
     """One multihead attention sublayer on (B, N_0, ..., N_{k-1}, D) input.
 
-    Heads are stacked into one leading axis so projections, pooling, gate
-    construction and mode application each run as a single broadcast matmul.
+    ``wq``, ``wk``, ``wv`` and ``wo`` are (D, H*E), head h in columns h*E to
+    h*E + E; ``wo`` holds the heads' (E, D) output maps transposed.  Heads are
+    stacked into one leading axis so projections, pooling, gate construction
+    and mode application each run as a single broadcast matmul.  The full
+    variants run the same mode loop over one mode that holds every token.
     """
     omega = projection_matrix(cfg.feature_spec) if cfg.feature_spec is not None else None
     heads, d_head = cfg.heads, cfg.d_head
-    wq = ad.concat_last([params[f"{prefix}.h{h}.wq"] for h in range(heads)])
-    wk = ad.concat_last([params[f"{prefix}.h{h}.wk"] for h in range(heads)])
-    wv = ad.concat_last([params[f"{prefix}.h{h}.wv"] for h in range(heads)])
-
     q = _split_heads(ops.affine_v(x, wq), heads, d_head)  # (B, H, tokens..., E)
     kt = _split_heads(ops.affine_v(x, wk), heads, d_head)
     p = _split_heads(ops.affine_v(x, wv), heads, d_head)
     q = _rotary_v(q, rotary, cfg.dims, lead=2)
     kt = _rotary_v(kt, rotary, cfg.dims, lead=2)
 
-    if cfg.variant.startswith("factored"):
-        for i in cfg.enabled_modes:
-            qt = _pooled(q, 2 + i, cfg.pooling)
-            kk = _pooled(kt, 2 + i, cfg.pooling)
-            if cfg.variant == "factored-softmax":
-                p = ops.batched_mode_apply_v(p, ad.softmax_last(_scores(qt, kk)), 2 + i, lead=2)
-            else:
-                p = ops.kernelized_mode_apply_v(p, qt, kk, 2 + i, cfg.feature_spec, omega, lead=2)
-    elif cfg.variant == "full-softmax":
-        qf, kf, pf = _flatten_tokens(q), _flatten_tokens(kt), _flatten_tokens(p)
-        pf = ad.matmul(ad.softmax_last(_scores(qf, kf)), pf)
-        p = ad.reshape(pf, p.shape)
-    else:  # full-linear
-        qf, kf, pf = _flatten_tokens(q), _flatten_tokens(kt), _flatten_tokens(p)
-        pf = ops.kernelized_mode_apply_v(pf, qf, kf, 2, cfg.feature_spec, omega, lead=2)
-        p = ad.reshape(pf, p.shape)
+    modes = cfg.enabled_modes
+    if cfg.variant.startswith("full"):
+        q, kt, p, modes = _flatten_tokens(q), _flatten_tokens(kt), _flatten_tokens(p), (0,)
+    for i in modes:
+        qt = _pooled(q, 2 + i, cfg.pooling)
+        kk = _pooled(kt, 2 + i, cfg.pooling)
+        if cfg.variant.endswith("softmax"):
+            p = ops.batched_mode_apply_v(p, ad.softmax_last(_scores(qt, kk)), 2 + i, lead=2)
+        else:
+            p = ops.kernelized_mode_apply_v(p, qt, kk, 2 + i, cfg.feature_spec, omega, lead=2)
 
     # back to (B, tokens..., H*E); one matmul applies W_O and sums the heads
     nd = p.value.ndim
     merged = ad.reshape(ad.transpose(p, (0,) + tuple(range(2, nd - 1)) + (1, nd - 1)),
                         x.shape[:-1] + (heads * d_head,))
-    wo = ad.concat_last([ad.transpose(params[f"{prefix}.h{h}.wo"], (1, 0)) for h in range(heads)])
     return ad.matmul(merged, wo, tb=True)
 
 
@@ -405,9 +399,9 @@ def attention_sublayer(x: np.ndarray, w: AttentionWeights, variant: str,
     x = as_tensor(x)
     cfg = HOTBlockConfig(dims=x.shape[:-1], d_model=w.d_model, heads=w.heads, variant=variant,
                          mode_mask=tuple(mask), feature_spec=spec, pooling=pooling)
-    params = {f"attn.h{h}.{name}": ad.constant(getattr(w, name)[h])
-              for h in range(w.heads) for name in ("wq", "wk", "wv", "wo")}
-    return attention_sublayer_v(ad.constant(x[None]), cfg, RotaryConfig(), params, "attn").value[0]
+    fused = [ad.constant(m.transpose(1, 0, 2).reshape(w.d_model, -1))
+             for m in (w.wq, w.wk, w.wv, w.wo.transpose(0, 2, 1))]
+    return attention_sublayer_v(ad.constant(x[None]), cfg, RotaryConfig(), *fused).value[0]
 
 
 def ffn_v(x: Var, params: dict[str, Var], prefix: str) -> Var:
@@ -420,10 +414,13 @@ def block_forward_v(x: Var, cfg: HOTBlockConfig, rotary: RotaryConfig,
     """Encoder block: attention and feed-forward sublayers with residuals."""
     ln1 = lambda v: ops.layer_norm_v(v, params[f"{prefix}.ln1.gamma"], params[f"{prefix}.ln1.beta"], cfg.ln_eps)
     ln2 = lambda v: ops.layer_norm_v(v, params[f"{prefix}.ln2.gamma"], params[f"{prefix}.ln2.beta"], cfg.ln_eps)
+    heads = [f"{prefix}.attn.h{h}" for h in range(cfg.heads)]
+    w = [ad.concat_last([params[f"{h}.{name}"] for h in heads]) for name in ("wq", "wk", "wv")]
+    w.append(ad.concat_last([ad.transpose(params[f"{h}.wo"], (1, 0)) for h in heads]))
     if cfg.norm_placement == "post":
-        y1 = ln1(ad.add(x, attention_sublayer_v(x, cfg, rotary, params, f"{prefix}.attn")))
+        y1 = ln1(ad.add(x, attention_sublayer_v(x, cfg, rotary, *w)))
         return ln2(ad.add(y1, ffn_v(y1, params, f"{prefix}.ffn")))
-    y1 = ad.add(x, attention_sublayer_v(ln1(x), cfg, rotary, params, f"{prefix}.attn"))
+    y1 = ad.add(x, attention_sublayer_v(ln1(x), cfg, rotary, *w))
     return ad.add(y1, ffn_v(ln2(y1), params, f"{prefix}.ffn"))
 
 
@@ -461,10 +458,12 @@ class HOTModel:
         Pass leaves made by ``Tape.var`` to track gradients.
         """
         cfg = self.config
-        if params is None:
-            params = {k: ad.constant(v) for k, v in self.params.items()}
         if x_raw.shape[1:] != cfg.raw_dims:
             raise ValueError(f"raw input dims {x_raw.shape[1:]} != configured {cfg.raw_dims}")
+        if x_raw.shape[0] == 0:
+            raise ValueError("empty batch: forward needs at least one sample")
+        if params is None:
+            params = {k: ad.constant(v) for k, v in self.params.items()}
 
         tokens = ad.constant(patchify(x_raw, cfg.patch.patch_sizes))
         x = ops.affine_v(tokens, params["patch.w"], params["patch.b"])

@@ -197,6 +197,7 @@ class TestCriterion06GradientCorrectness:
                f"+ block, {elapsed:.0f}s (< 300s)")
 
 
+@pytest.mark.slow
 class TestCriterion07ComplexityScaling:
     def test_time_slopes_and_memory(self, tmp_path):
         from hot.cli import cmd_bench, load_config
@@ -215,6 +216,7 @@ class TestCriterion07ComplexityScaling:
                f"memory-linearity asserted")
 
 
+@pytest.mark.slow
 class TestCriterion08AblationDirection:
     def test_mask_ordering_on_synthetic_forecast(self, tmp_path):
         from hot.cli import cmd_ablate, load_config

@@ -126,12 +126,15 @@ class TestConfig:
         ("ablate", {"t_len": 64, "n_series": 65, "d_model": 64, "n_train": 8, "n_val": 4}),
         ("bench", {"variants": ["full-softmax"], "grids": {"full-softmax": [[8, 8], [65, 64]]}}),
         ("train", {"variant": "full-softmax", "t_len": 260, "n_series": 64, "pooling_head": "mean"}),
+        ("ablate", {"variants": ["full-softmax"], "seeds": [0]}),
+        ("train", {"variant": "full-linear", "mask": [True, False]}),
     ], ids=["train-steps-0", "train-steps-negative", "train-lr-negative", "train-batch-0",
             "bench-grid-entry-0", "bench-one-grid", "bench-one-token-count", "equiv-shape-0",
             "equiv-seed-negative", "kronrank-dim-0", "kronrank-no-modes", "gradcheck-eps-0",
             "gradcheck-min-coords-negative", "ablate-no-heads", "ablate-no-variants",
             "ablate-baseline-over-flatten-cap", "bench-full-softmax-over-cap",
-            "train-full-softmax-over-cap"])
+            "train-full-softmax-over-cap", "ablate-full-variant-with-masks",
+            "train-full-linear-with-mask"])
     def test_out_of_range_value_exits_2_before_any_work(self, tmp_path, capsys, monkeypatch,
                                                          command, bad):
         def no_training(*args, **kwargs):

@@ -8,6 +8,7 @@ import time
 import numpy as np
 import pytest
 
+import hot.model
 from hot import autodiff as ad
 from hot.attention import (DEFAULT_ORACLE_CAP, full_high_order_attention, materialized_attention,
                            random_attention_weights)
@@ -246,8 +247,8 @@ class TestSublayerMatchesAttentionFunctions:
     @pytest.mark.parametrize("heads", [1, 2])
     @pytest.mark.parametrize("dims", SUBLAYER_DIMS, ids=str)
     @pytest.mark.parametrize("variant,subset,pooling", [
-        ("full-softmax", False, "sum"),
-        ("full-linear", False, "sum"),
+        *[(v, False, pooling) for v in ("full-softmax", "full-linear")
+          for pooling in ("sum", "mean")],
         *[(v, subset, pooling) for v in ("factored-softmax", "factored-linear")
           for subset in (False, True) for pooling in ("sum", "mean")],
     ])
@@ -265,6 +266,34 @@ class TestSublayerMatchesAttentionFunctions:
             ref = materialized_sublayer(x, w, variant, spec, mask, pooling)
         out = attention_sublayer(x, w, variant, spec, mask, pooling)
         assert np.abs(out - ref).max() <= 1e-12
+
+
+def test_block_fuses_head_weights_as_attention_sublayer_does(monkeypatch):
+    """The fused matrices ``block_forward_v`` builds from ``{prefix}.h{h}.w*`` are,
+    bit for bit, those ``attention_sublayer`` builds from the same ``AttentionWeights``."""
+    w = random_attention_weights(8, 2, seed=40)
+    model = HOTModel.initialize(small_config(), seed=0)
+    for h in range(w.heads):
+        for name in ("wq", "wk", "wv", "wo"):
+            model.params[f"block0.attn.h{h}.{name}"] = getattr(w, name)[h]
+    seen = []
+    sublayer_v = hot.model.attention_sublayer_v
+
+    def capture(x, cfg, rotary, *weights):
+        seen.append([v.value for v in weights])
+        return sublayer_v(x, cfg, rotary, *weights)
+
+    monkeypatch.setattr(hot.model, "attention_sublayer_v", capture)
+    rng = np.random.default_rng(41)
+    model.forward(rng.standard_normal((2, 4, 5)))
+    attention_sublayer(rng.standard_normal((4, 5, 8)), w, "factored-softmax")
+    block, sublayer = seen
+    for fused_block, fused_sublayer in zip(block, sublayer, strict=True):
+        assert fused_block.shape == (w.d_model, w.heads * w.d_head)
+        assert np.array_equal(fused_block, fused_sublayer)
+    wq, wo = sublayer[0], sublayer[3]
+    assert np.array_equal(wq[:, w.d_head:], w.wq[1])  # head 1's columns
+    assert np.array_equal(wo[:, w.d_head:], w.wo[1].T)
 
 
 class TestModelForward:
@@ -347,9 +376,9 @@ class TestModelForward:
     def test_predict_on_no_samples_is_forward(self):
         model = HOTModel.initialize(small_config(), seed=2)
         x = np.zeros((0, 4, 5))
-        with pytest.raises(ValueError) as want:
+        with pytest.raises(ValueError, match="empty batch") as want:
             model.forward(x)
-        with pytest.raises(ValueError) as got:
+        with pytest.raises(ValueError, match="empty batch") as got:
             model.predict(x)
         assert str(got.value) == str(want.value)
 
@@ -422,6 +451,19 @@ class TestConfigValidation:
     def test_mask_length(self):
         with pytest.raises(ValueError):
             HOTBlockConfig(dims=(4, 5), d_model=8, heads=2, mode_mask=(True,))
+
+    @pytest.mark.parametrize("variant", ["full-softmax", "full-linear"])
+    def test_full_variants_reject_a_mask_that_turns_a_mode_off(self, variant):
+        spec = FeatureMapSpec(8, 4) if "linear" in variant else None
+        for mask in ((), (True, True)):
+            HOTBlockConfig(dims=(4, 5), d_model=8, heads=2, variant=variant, mode_mask=mask,
+                           feature_spec=spec)
+        with pytest.raises(ValueError, match="cannot turn a mode off"):
+            HOTBlockConfig(dims=(4, 5), d_model=8, heads=2, variant=variant,
+                           mode_mask=(True, False), feature_spec=spec)
+        with pytest.raises(ValueError, match="cannot turn a mode off"):
+            attention_sublayer(np.ones((4, 5, 8)), random_attention_weights(8, 2), variant, spec,
+                               mask=(False, False))
 
     def test_linear_variant_needs_spec(self):
         with pytest.raises(ValueError):
