@@ -10,6 +10,11 @@ exits 0 when every assertion holds, 1 on a tolerance breach, and 2 on a
 config error.  All randomness is seeded, so reruns with the same
 config reproduce every non-timing output byte for byte.
 
+A config sizes the work (shapes, grids, seeds, steps, reps); it never sets a
+verdict.  Every tolerance, slope window and memory ratio is a constant of
+this module and no key switches a check off, so no config can loosen or
+skip one.
+
 CSV dialect: comma separated, header row, UTF-8, LF line endings, floats with
 17 significant digits.
 """
@@ -33,7 +38,6 @@ from . import autodiff as ad
 from . import diffops as ops
 from .attention import (
     check_model_dims,
-    full_high_order_attention,
     materialized_attention,
     mode_attention_matrix,
     random_attention_weights,
@@ -71,6 +75,21 @@ class ConfigError(ValueError):
 
 
 # ---------------------------------------------------------------------------
+# pass bounds
+
+EQUIV_TOLERANCE = 1e-10  # factored vs materialized, row sums, permutation equivariance
+REDUCTION_TOLERANCE = 1e-12  # one-mode reductions, softmax shift invariance
+GRADCHECK_TOLERANCE = 1e-5  # relative error of an adjoint against central differences
+QUADRATIC_TOLERANCE = 1e-9  # the checker on a quadratic, where differences are exact
+FAULT_THRESHOLD = 1e-2  # a corrupted adjoint must be reported with a larger error
+KRON_EXACT_TOLERANCE = 1e-8  # relative reconstruction error at the rank bound
+KRON_PLANTED_TOLERANCE = 1e-10  # one planted Kronecker term recovered at rank 1
+# token-count exponents of the default bench grids; other variants are not gated
+SLOPE_WINDOWS = {"factored-linear": (0.8, 1.3), "full-softmax": (1.7, 2.3)}
+MEMORY_RATIO = 1.3  # factored-linear peak allocations against their linear fit
+
+
+# ---------------------------------------------------------------------------
 # config handling
 
 
@@ -97,8 +116,6 @@ class EquivConfig:
     heads: tuple[int, ...] = (1, 2)
     d_model: int = 8
     seeds: tuple[int, ...] = (0, 1, 2)
-    tolerance: float = 1e-10
-    reduction_tolerance: float = 1e-12
     feature_count: int = 64
 
     def __post_init__(self):
@@ -108,8 +125,6 @@ class EquivConfig:
             check_model_dims(self.d_model, heads)
             FeatureMapSpec(self.feature_count, self.d_model // heads)  # the reduction rows' map
         _check_seeds("seeds", self.seeds)
-        _check(self.tolerance >= 0, "tolerance", "be >= 0")
-        _check(self.reduction_tolerance >= 0, "reduction_tolerance", "be >= 0")
 
 
 @dataclass(frozen=True)
@@ -118,20 +133,13 @@ class GradcheckConfig:
     d_model: int = 8
     heads: int = 2
     seeds: tuple[int, ...] = (0, 1, 2, 3, 4)
-    eps: float = 1e-5
-    tolerance: float = 1e-5
     min_coords: int = 64
     feature_count: int = 8
-    quadratic_tolerance: float = 1e-9
-    fault_threshold: float = 1e-2
 
     def __post_init__(self):
         _check_grids("shape", (self.shape,))
         _check_seeds("seeds", self.seeds)
-        _check(0 < self.eps < math.inf, "eps", "be a positive finite number")
         _check(self.min_coords >= 1, "min_coords", "be >= 1")
-        for key in ("tolerance", "quadratic_tolerance", "fault_threshold"):
-            _check(getattr(self, key) >= 0, key, "be >= 0")
         FeatureMapSpec(self.feature_count, 4)  # the op cases' feature map
         for variant in VARIANTS:
             _gradcheck_model_config(self, variant)
@@ -141,16 +149,12 @@ class GradcheckConfig:
 class KronrankConfig:
     dims_list: tuple[tuple[int, ...], ...] = ((3, 3), (2, 3))
     seeds: tuple[int, ...] = (0, 1, 2)
-    exact_tolerance: float = 1e-8
-    planted_tolerance: float = 1e-10
     attention_d_model: int = 8
     attention_heads: int = 2
 
     def __post_init__(self):
         _check_grids("dims_list", self.dims_list)
         _check_seeds("seeds", self.seeds)
-        _check(self.exact_tolerance >= 0, "exact_tolerance", "be >= 0")
-        _check(self.planted_tolerance >= 0, "planted_tolerance", "be >= 0")
         check_model_dims(self.attention_d_model, self.attention_heads)
 
 
@@ -170,10 +174,6 @@ class BenchConfig:
     reps: int = 5
     warmups: int = 2
     seed: int = 0
-    slope_windows: dict[str, tuple[float, float]] = field(default_factory=lambda: {
-        "factored-linear": (0.8, 1.3), "full-softmax": (1.7, 2.3)})
-    memory_ratio: float = 1.3
-    track_memory: bool = True
 
     def __post_init__(self):
         _check(self.variants, "variants", "be a non-empty array")
@@ -190,11 +190,9 @@ class BenchConfig:
             for dims in self.grids[variant]:
                 HOTBlockConfig(dims=dims, d_model=self.d_model, heads=self.heads, variant=variant,
                                feature_spec=spec if "linear" in variant else None)
+        _check(self.reps >= 3, "reps", "be >= 3, so each grid's median rejects a stall")
         _check(self.warmups >= 0, "warmups", "be >= 0")
         _check(self.seed >= 0, "seed", "be >= 0")
-        for variant, (lo, hi) in self.slope_windows.items():
-            _check(lo <= hi, f"slope_windows.{variant}", "be an interval [lo, hi]")
-        _check(self.memory_ratio >= 1, "memory_ratio", "be >= 1")
 
 
 @dataclass(frozen=True)
@@ -220,8 +218,6 @@ class AblateConfig:
     feature_count: int = 16
     pooling_head: str = "mean"
     rotary_modes: tuple[int, ...] = (0, 1)
-    assert_ordering: bool = True
-    include_linear_baseline: bool = True
     baseline_seeds: tuple[int, ...] = (0, 1)
     baseline_interaction_gain: float = 0.6
 
@@ -234,10 +230,9 @@ class AblateConfig:
         _check(self.masks, "masks", "be a non-empty array")
         for variant, heads, mask in itertools.product(self.variants, self.heads, self.masks):
             _build_model_config(self, mask, variant, heads)
-        if self.include_linear_baseline:
-            _check_seeds("baseline_seeds", self.baseline_seeds)
-            _check(self.baseline_interaction_gain >= 0, "baseline_interaction_gain", "be >= 0")
-            _build_model_config(self, (True, True), self.variants[0], self.heads[0], "flatten")
+        _check_seeds("baseline_seeds", self.baseline_seeds)
+        _check(self.baseline_interaction_gain >= 0, "baseline_interaction_gain", "be >= 0")
+        _build_model_config(self, (True, True), self.variants[0], self.heads[0], "flatten")
 
 
 @dataclass(frozen=True)
@@ -265,7 +260,6 @@ class TrainConfig:
     feature_count: int = 16
     pooling_head: str = "flatten"
     rotary_modes: tuple[int, ...] = (0,)
-    checkpoint: bool = True
 
     def __post_init__(self):
         _check_training(self)
@@ -371,6 +365,11 @@ def cmd_equiv(config: EquivConfig, out_dir: Path) -> int:
     report = Report("equiv", out_dir)
     rows = []
     worst = 0.0
+
+    def add(check, shape, heads, seed, err, tolerance):
+        rows.append([check, shape, heads, seed, err, tolerance,
+                     "PASS" if err <= tolerance else "FAIL"])
+
     for shape in config.shapes:
         label = _shape_str(shape)
         for heads in config.heads:
@@ -381,8 +380,7 @@ def cmd_equiv(config: EquivConfig, out_dir: Path) -> int:
                 out = attention_sublayer(x, w, "factored-softmax")
                 ref = materialized_attention(x, w)
                 err = float(np.abs(out - ref).max())
-                rows.append(["factored-vs-materialized", label, heads, seed, err, config.tolerance,
-                             "PASS" if err <= config.tolerance else "FAIL"])
+                add("factored-vs-materialized", label, heads, seed, err, EQUIV_TOLERANCE)
                 worst = max(worst, err)
 
                 # implied per-head attention matrix row sums
@@ -390,16 +388,13 @@ def cmd_equiv(config: EquivConfig, out_dir: Path) -> int:
                 kt = x @ w.wk[0]
                 s = kron_chain(mode_attention_matrix(q, kt, i) for i in range(len(shape)))
                 row_err = float(np.abs(s.sum(axis=1) - 1.0).max())
-                rows.append(["row-stochastic", label, heads, seed, row_err, config.tolerance,
-                             "PASS" if row_err <= config.tolerance else "FAIL"])
+                add("row-stochastic", label, heads, seed, row_err, EQUIV_TOLERANCE)
 
                 # permutation equivariance along the first mode
                 perm = rng.permutation(shape[0])
                 perm_err = float(np.abs(attention_sublayer(x[perm], w, "factored-softmax")
                                         - out[perm]).max())
-                rows.append(["permutation-equivariance", label, heads, seed, perm_err,
-                             config.tolerance,
-                             "PASS" if perm_err <= config.tolerance else "FAIL"])
+                add("permutation-equivariance", label, heads, seed, perm_err, EQUIV_TOLERANCE)
                 worst = max(worst, perm_err, row_err)
 
     # one-mode reductions collapse to standard attention
@@ -410,26 +405,19 @@ def cmd_equiv(config: EquivConfig, out_dir: Path) -> int:
             w = random_attention_weights(config.d_model, heads, seed=seed + 2000)
             ref = standard_attention(x, w)
             spec = FeatureMapSpec(config.feature_count, w.d_head, seed=seed)
-            for name, out in (
-                ("reduction-factored-softmax", attention_sublayer(x, w, "factored-softmax")),
-                ("reduction-full-softmax", full_high_order_attention(x, w)),
-            ):
-                err = float(np.abs(out - ref).max())
-                rows.append([name, "7", heads, seed, err, config.reduction_tolerance,
-                             "PASS" if err <= config.reduction_tolerance else "FAIL"])
+            for variant in ("factored-softmax", "full-softmax"):
+                err = float(np.abs(attention_sublayer(x, w, variant) - ref).max())
+                add(f"reduction-{variant}", "7", heads, seed, err, REDUCTION_TOLERANCE)
             lin_err = float(np.abs(attention_sublayer(x, w, "factored-linear", spec)
                                    - attention_sublayer(x, w, "full-linear", spec)).max())
-            rows.append(["reduction-linear-grid", "7", heads, seed, lin_err,
-                         config.reduction_tolerance,
-                         "PASS" if lin_err <= config.reduction_tolerance else "FAIL"])
+            add("reduction-linear-grid", "7", heads, seed, lin_err, REDUCTION_TOLERANCE)
 
     # softmax score shift invariance
     for seed in config.seeds:
         rng = np.random.default_rng(seed)
         logits = rng.standard_normal((6, 6))
         err = float(np.abs(softmax_rows(logits) - softmax_rows(logits + 11.0)).max())
-        rows.append(["softmax-shift-invariance", "6x6", 1, seed, err, config.reduction_tolerance,
-                     "PASS" if err <= config.reduction_tolerance else "FAIL"])
+        add("softmax-shift-invariance", "6x6", 1, seed, err, REDUCTION_TOLERANCE)
 
     write_csv(out_dir / "equiv.csv",
               ["check", "shape", "heads", "seed", "max_abs_err", "tolerance", "status"], rows)
@@ -547,6 +535,9 @@ def cmd_gradcheck(config: GradcheckConfig, out_dir: Path) -> int:
     report = Report("gradcheck", out_dir)
     rows = []
 
+    def add(case, kind, seed, err, tolerance):
+        rows.append([case, kind, seed, err, tolerance, "PASS" if err <= tolerance else "FAIL"])
+
     for seed in config.seeds:
         rng = np.random.default_rng(seed)
         for name, case, params in _op_cases(config):
@@ -559,22 +550,17 @@ def cmd_gradcheck(config: GradcheckConfig, out_dir: Path) -> int:
                 return float(case({k: ad.constant(v) for k, v in p.items()}).value)
 
             err = finite_diff_check(f, {k: np.asarray(v, dtype=np.float64) for k, v in params.items()},
-                                    grads, eps=config.eps, rng=rng, min_coords=config.min_coords)
-            rows.append([name, "op", seed, err, config.tolerance,
-                         "PASS" if err <= config.tolerance else "FAIL"])
+                                    grads, rng=rng, min_coords=config.min_coords)
+            add(name, "op", seed, err, GRADCHECK_TOLERANCE)
 
         for variant in ("factored-softmax", "factored-linear", "full-softmax", "full-linear"):
             f, params, grads = _gradcheck_model(variant, config, seed)
-            err = finite_diff_check(f, params, grads, eps=config.eps, rng=rng,
-                                    min_coords=config.min_coords)
-            rows.append([variant, "attention-variant", seed, err, config.tolerance,
-                         "PASS" if err <= config.tolerance else "FAIL"])
+            err = finite_diff_check(f, params, grads, rng=rng, min_coords=config.min_coords)
+            add(variant, "attention-variant", seed, err, GRADCHECK_TOLERANCE)
 
         f, params, grads = _gradcheck_model("factored-softmax", config, seed)
-        err = finite_diff_check(f, params, grads, eps=config.eps, rng=rng,
-                                min_coords=config.min_coords)
-        rows.append(["hot-block", "block", seed, err, config.tolerance,
-                     "PASS" if err <= config.tolerance else "FAIL"])
+        err = finite_diff_check(f, params, grads, rng=rng, min_coords=config.min_coords)
+        add("hot-block", "block", seed, err, GRADCHECK_TOLERANCE)
 
     # quadratic self-test: central differences are exact up to roundoff
     rng = np.random.default_rng(0)
@@ -583,15 +569,13 @@ def cmd_gradcheck(config: GradcheckConfig, out_dir: Path) -> int:
     def quad(p):
         return float(np.sum(p["x"] ** 2) / 2.0)
 
-    err = finite_diff_check(quad, {"x": q0}, {"x": q0}, eps=config.eps, rng=rng)
-    rows.append(["quadratic-self-test", "self-test", 0, err, config.quadratic_tolerance,
-                 "PASS" if err <= config.quadratic_tolerance else "FAIL"])
+    err = finite_diff_check(quad, {"x": q0}, {"x": q0}, rng=rng)
+    add("quadratic-self-test", "self-test", 0, err, QUADRATIC_TOLERANCE)
 
     # fault injection: a corrupted adjoint must be reported as wrong
-    bad = {"x": q0 * 1.5 + 0.1}
-    err_bad = finite_diff_check(quad, {"x": q0}, bad, eps=config.eps, rng=rng)
-    rows.append(["fault-injection", "self-test", 0, err_bad, config.fault_threshold,
-                 "PASS" if err_bad > config.fault_threshold else "FAIL"])
+    err_bad = finite_diff_check(quad, {"x": q0}, {"x": q0 * 1.5 + 0.1}, rng=rng)
+    rows.append(["fault-injection", "self-test", 0, err_bad, FAULT_THRESHOLD,
+                 "PASS" if err_bad > FAULT_THRESHOLD else "FAIL"])
 
     write_csv(out_dir / "gradcheck.csv",
               ["case", "kind", "seed", "max_rel_err", "tolerance", "status"], rows)
@@ -634,7 +618,7 @@ def cmd_kronrank(config: KronrankConfig, out_dir: Path) -> int:
                     errs.append(err)
                     rows.append([kind, _shape_str(dims), seed, rank, err])
                 report.check(f"{kind} dims={dims} seed={seed} exact at R={bound}",
-                             errs[-1] <= config.exact_tolerance, errs[-1], config.exact_tolerance)
+                             errs[-1] <= KRON_EXACT_TOLERANCE, errs[-1], KRON_EXACT_TOLERANCE)
                 monotone = all(lo <= hi + 1e-12 for lo, hi in zip(errs[1:], errs[:-1]))
                 report.check(f"{kind} dims={dims} seed={seed} monotone", monotone)
 
@@ -642,7 +626,7 @@ def cmd_kronrank(config: KronrankConfig, out_dir: Path) -> int:
             err = reconstruction_error(kron_decompose(planted, dims, 1), planted)
             rows.append(["planted-single-term", _shape_str(dims), seed, 1, err])
             report.check(f"planted dims={dims} seed={seed} exact at R=1",
-                         err <= config.planted_tolerance, err, config.planted_tolerance)
+                         err <= KRON_PLANTED_TOLERANCE, err, KRON_PLANTED_TOLERANCE)
 
     write_csv(out_dir / "kronrank.csv", ["kind", "dims", "seed", "rank", "rel_error"], rows)
     return report.finish()
@@ -684,7 +668,7 @@ def cmd_bench(config: BenchConfig, out_dir: Path) -> int:
             for _ in range(config.warmups):
                 run(x)
         samples = [[] for _ in grid]
-        for rep in range(max(3, config.reps)):
+        for rep in range(config.reps):
             for dims, x, times in zip(grid, inputs, samples):
                 run(x)
                 t0 = time.perf_counter_ns()
@@ -695,12 +679,10 @@ def cmd_bench(config: BenchConfig, out_dir: Path) -> int:
         medians = [int(np.median(times)) for times in samples]
         peaks = []
         for dims, x, tokens, median_ns in zip(grid, inputs, token_counts, medians):
-            peak = 0
-            if config.track_memory:
-                tracemalloc.start()
-                run(x)
-                _, peak = tracemalloc.get_traced_memory()
-                tracemalloc.stop()
+            tracemalloc.start()
+            run(x)
+            _, peak = tracemalloc.get_traced_memory()
+            tracemalloc.stop()
             rows.append([variant, _shape_str(dims), len(dims), tokens, median_ns, peak,
                          config.seed])
             peaks.append(peak)
@@ -713,20 +695,19 @@ def cmd_bench(config: BenchConfig, out_dir: Path) -> int:
     write_csv(out_dir / "bench_samples.csv",
               ["variant", "shape", "tokens", "rep", "wall_ns"], sample_rows)
 
-    for variant, (lo, hi) in config.slope_windows.items():
+    for variant, (lo, hi) in SLOPE_WINDOWS.items():
         if variant in slopes:
             s = slopes[variant]
             report.check(f"{variant} time slope in [{lo}, {hi}]", lo <= s <= hi, s, [lo, hi])
 
-    if config.track_memory and "factored-linear" in memories:
+    if "factored-linear" in memories:
         tokens, peaks = memories["factored-linear"]
         a = np.vstack([np.asarray(tokens, dtype=np.float64), np.ones(len(tokens))]).T
         coef, *_ = np.linalg.lstsq(a, np.asarray(peaks, dtype=np.float64), rcond=None)
         fit = a @ coef
         ratio = float(max(max(p / f, f / p) for p, f in zip(peaks, fit) if f > 0))
-        limit = config.memory_ratio
-        report.check(f"factored-linear peak memory within {limit}x of linear fit",
-                     ratio <= limit, ratio, limit)
+        report.check(f"factored-linear peak memory within {MEMORY_RATIO}x of linear fit",
+                     ratio <= MEMORY_RATIO, ratio, MEMORY_RATIO)
 
     # token-count exponents on square grids; factored softmax is quadratic
     # per mode, i.e. tokens^1.5 overall
@@ -813,27 +794,24 @@ def cmd_ablate(config: AblateConfig, out_dir: Path) -> int:
             mses.append(res.final_train_mse)
         cell_means[(variant, heads, mask)] = float(np.mean(mses))
 
-    baseline_mse = None
-    flat_mse = None
-    if config.include_linear_baseline:
-        flat, base = [], []
-        both = (True, True)
-        for seed in config.baseline_seeds:
-            data = gen_synthetic(_task_spec(config, seed, config.baseline_interaction_gain))
-            mcfg = _build_model_config(config, both, config.variants[0], config.heads[0],
-                                       pooling_head="flatten")
-            model = HOTModel.initialize(mcfg, seed=seed)
-            res = train_model(model, data, steps=config.steps, batch_size=config.batch_size,
-                              lr=config.lr, seed=seed, eval_every=config.steps)
-            flat.append(res.final_train_mse)
-            base.append(train_linear_readout(data, config.steps, batch_size=config.batch_size,
-                                             lr=config.lr, seed=seed))
-            rows.append(["flatten-both", config.heads[0], _mask_str(both), seed,
-                         flat[-1], math.nan, math.nan, 0, 0, model.parameter_count(), 0.0])
-            rows.append(["linear-readout", 0, "-", seed, base[-1], math.nan, math.nan,
-                         0, 0, 0, 0.0])
-        flat_mse = float(np.mean(flat))
-        baseline_mse = float(np.mean(base))
+    flat, base = [], []
+    both = (True, True)
+    for seed in config.baseline_seeds:
+        data = gen_synthetic(_task_spec(config, seed, config.baseline_interaction_gain))
+        mcfg = _build_model_config(config, both, config.variants[0], config.heads[0],
+                                   pooling_head="flatten")
+        model = HOTModel.initialize(mcfg, seed=seed)
+        res = train_model(model, data, steps=config.steps, batch_size=config.batch_size,
+                          lr=config.lr, seed=seed, eval_every=config.steps)
+        flat.append(res.final_train_mse)
+        base.append(train_linear_readout(data, config.steps, batch_size=config.batch_size,
+                                         lr=config.lr, seed=seed))
+        rows.append(["flatten-both", config.heads[0], _mask_str(both), seed,
+                     flat[-1], math.nan, math.nan, 0, 0, model.parameter_count(), 0.0])
+        rows.append(["linear-readout", 0, "-", seed, base[-1], math.nan, math.nan,
+                     0, 0, 0, 0.0])
+    flat_mse = float(np.mean(flat))
+    baseline_mse = float(np.mean(base))
 
     write_csv(out_dir / "ablate.csv",
               ["variant", "heads", "mask", "seed", "train_mse", "val_mse", "val_mae",
@@ -841,23 +819,21 @@ def cmd_ablate(config: AblateConfig, out_dir: Path) -> int:
 
     report.check("parameter count identical across grid", len(param_counts) == 1,
                  sorted(param_counts))
-    if config.assert_ordering:
-        variant, heads = config.variants[0], config.heads[0]
-        both = cell_means.get((variant, heads, (True, True)))
-        time_only = cell_means.get((variant, heads, (True, False)))
-        var_only = cell_means.get((variant, heads, (False, True)))
-        none = cell_means.get((variant, heads, (False, False)))
-        if None not in (both, time_only, var_only, none):
-            report.check("both-modes beats each single mode",
-                         both < time_only and both < var_only,
-                         {"both": both, "time": time_only, "var": var_only})
-            report.check("each single mode beats no attention",
-                         time_only < none and var_only < none,
-                         {"time": time_only, "var": var_only, "none": none})
-    if baseline_mse is not None and flat_mse is not None:
-        report.check("2-mode model beats linear readout on the nonlinear task",
-                     flat_mse < baseline_mse,
-                     {"hot-flatten": flat_mse, "linear": baseline_mse})
+    # the ordering is checked when the first variant and head count ran all four masks
+    variant, heads = config.variants[0], config.heads[0]
+    both_mse = cell_means.get((variant, heads, (True, True)))
+    time_only = cell_means.get((variant, heads, (True, False)))
+    var_only = cell_means.get((variant, heads, (False, True)))
+    none = cell_means.get((variant, heads, (False, False)))
+    if None not in (both_mse, time_only, var_only, none):
+        report.check("both-modes beats each single mode",
+                     both_mse < time_only and both_mse < var_only,
+                     {"both": both_mse, "time": time_only, "var": var_only})
+        report.check("each single mode beats no attention",
+                     time_only < none and var_only < none,
+                     {"time": time_only, "var": var_only, "none": none})
+    report.check("2-mode model beats linear readout on the nonlinear task",
+                 flat_mse < baseline_mse, {"hot-flatten": flat_mse, "linear": baseline_mse})
     return report.finish({"cell_means": {str(k): v for k, v in cell_means.items()}})
 
 
@@ -871,8 +847,7 @@ def cmd_train(config: TrainConfig, out_dir: Path) -> int:
     write_csv(out_dir / "train_log.csv",
               ["step", "train_loss", "val_mse", "val_mae", "seconds"],
               [list(r) for r in res.history])
-    if config.checkpoint:
-        model.save(out_dir / "checkpoint")
+    model.save(out_dir / "checkpoint")
     report.check("training ran to completion", True, res.final_train_mse)
     report.check("final loss finite", bool(np.isfinite(res.final_train_mse)))
     return report.finish({

@@ -57,7 +57,7 @@ class TestConfig:
         # an integer is a number, and the unset mask may be given as a list
         cfg.write_text(json.dumps({"lr": 1, "mask": [True, False]}))
         assert load_config("train", str(cfg), {}).mask == (True, False)
-        for bad in ({"steps": 2.5}, {"checkpoint": 1}, {"heads": None}, {"rotary_modes": 0}):
+        for bad in ({"steps": 2.5}, {"mask": [1]}, {"heads": None}, {"rotary_modes": 0}):
             cfg.write_text(json.dumps(bad))
             with pytest.raises(ConfigError, match=next(iter(bad))):
                 load_config("train", str(cfg), {})
@@ -119,7 +119,6 @@ class TestConfig:
         ("equiv", {"seeds": [-1]}),
         ("kronrank", {"dims_list": [[0, 2]]}),
         ("kronrank", {"dims_list": [[]]}),
-        ("gradcheck", {"eps": 0}),
         ("gradcheck", {"min_coords": -1}),
         ("ablate", {"heads": []}),
         ("ablate", {"variants": []}),
@@ -128,13 +127,34 @@ class TestConfig:
         ("train", {"variant": "full-softmax", "t_len": 260, "n_series": 64, "pooling_head": "mean"}),
         ("ablate", {"variants": ["full-softmax"], "seeds": [0]}),
         ("train", {"variant": "full-linear", "mask": [True, False]}),
+        ("bench", {"reps": 2}),
+        # verdicts are module constants, never config keys
+        ("equiv", {"tolerance": 1.0}),
+        ("equiv", {"reduction_tolerance": 1.0}),
+        ("gradcheck", {"eps": 1e-3}),
+        ("gradcheck", {"tolerance": 1.0}),
+        ("gradcheck", {"quadratic_tolerance": 1.0}),
+        ("gradcheck", {"fault_threshold": 0.0}),
+        ("kronrank", {"exact_tolerance": 1.0}),
+        ("kronrank", {"planted_tolerance": 1.0}),
+        ("bench", {"slope_windows": {}}),
+        ("bench", {"memory_ratio": 100.0}),
+        ("bench", {"track_memory": False}),
+        ("ablate", {"assert_ordering": False}),
+        ("ablate", {"include_linear_baseline": False}),
+        ("train", {"checkpoint": False}),
     ], ids=["train-steps-0", "train-steps-negative", "train-lr-negative", "train-batch-0",
             "bench-grid-entry-0", "bench-one-grid", "bench-one-token-count", "equiv-shape-0",
-            "equiv-seed-negative", "kronrank-dim-0", "kronrank-no-modes", "gradcheck-eps-0",
+            "equiv-seed-negative", "kronrank-dim-0", "kronrank-no-modes",
             "gradcheck-min-coords-negative", "ablate-no-heads", "ablate-no-variants",
             "ablate-baseline-over-flatten-cap", "bench-full-softmax-over-cap",
             "train-full-softmax-over-cap", "ablate-full-variant-with-masks",
-            "train-full-linear-with-mask"])
+            "train-full-linear-with-mask", "bench-reps-2", "equiv-tolerance",
+            "equiv-reduction-tolerance", "gradcheck-eps", "gradcheck-tolerance",
+            "gradcheck-quadratic-tolerance", "gradcheck-fault-threshold",
+            "kronrank-exact-tolerance", "kronrank-planted-tolerance", "bench-slope-windows",
+            "bench-memory-ratio", "bench-track-memory", "ablate-assert-ordering",
+            "ablate-include-linear-baseline", "train-checkpoint"])
     def test_out_of_range_value_exits_2_before_any_work(self, tmp_path, capsys, monkeypatch,
                                                          command, bad):
         def no_training(*args, **kwargs):
@@ -222,6 +242,17 @@ class TestEquivCommand:
         assert "factored-vs-materialized" in failed
         assert real is hot.attention.mode_attention_matrix
 
+    def test_injected_full_variant_bug_fails_reduction(self, tmp_path, small_equiv_config,
+                                                       monkeypatch):
+        # scale the token flattening that only the full variants run: the
+        # reduction row must hold the program's full softmax, not an oracle
+        real = hot.model._flatten_tokens
+        monkeypatch.setattr(hot.model, "_flatten_tokens", lambda t: ad.scale(real(t), 1.5))
+        out = tmp_path / "out"
+        assert run_cli(["equiv", "--config", str(small_equiv_config), "--out", str(out)]) == 1
+        summary = json.loads((out / "equiv_summary.json").read_text())
+        failed = {a["name"].split()[0] for a in summary["assertions"] if not a["passed"]}
+        assert "reduction-full-softmax" in failed
 
 
 class TestKronrankCommand:
@@ -263,15 +294,15 @@ class TestGradcheckCommand:
 
 
 class TestBenchCommand:
-    def test_tiny_grid_writes_records(self, tmp_path):
+    def test_tiny_grid_writes_records(self, tmp_path, monkeypatch):
+        # the slope windows describe the default grids; fixed costs flatten tiny ones
+        monkeypatch.setattr(hot.cli, "SLOPE_WINDOWS", {})
         cfg = tmp_path / "bench.json"
         cfg.write_text(json.dumps({
             "variants": ["factored-linear", "full-softmax"],
             "grids": {"factored-linear": [[4, 4], [8, 8]], "full-softmax": [[4, 4], [8, 8]]},
             "reps": 3,
             "warmups": 1,
-            "slope_windows": {},
-            "track_memory": True,
         }))
         out = tmp_path / "out"
         assert run_cli(["bench", "--config", str(cfg), "--out", str(out)]) == 0
@@ -288,8 +319,6 @@ class TestBenchCommand:
             "grids": {"factored-linear": [[4, 4], [8, 8]]},
             "reps": 3,
             "warmups": 1,
-            "slope_windows": {},
-            "track_memory": False,
         }))
         a, b = tmp_path / "a", tmp_path / "b"
         run_cli(["bench", "--config", str(cfg), "--out", str(a)])
@@ -325,7 +354,6 @@ class TestTrainAblateCommands:
             "t_len": 16, "n_series": 4, "horizon": 4, "n_train": 24, "n_val": 8,
             "steps": 6, "batch_size": 8, "d_model": 8, "ffn_dim": 16,
             "seeds": [0], "masks": [[True, True], [False, False]],
-            "assert_ordering": False, "include_linear_baseline": True,
         }))
         out = tmp_path / "out"
         assert run_cli(["ablate", "--config", str(cfg), "--out", str(out)]) == 0
@@ -337,13 +365,14 @@ class TestTrainAblateCommands:
 
 
 class TestCsvRows:
-    def test_every_row_as_wide_as_header(self, tmp_path):
+    def test_every_row_as_wide_as_header(self, tmp_path, monkeypatch):
         """Shape labels carry no commas, so multi-mode shapes keep rows rectangular."""
+        monkeypatch.setattr(hot.cli, "SLOPE_WINDOWS", {})  # tiny grids, see TestBenchCommand
         configs = {
             "equiv": {"shapes": [[2, 3], [2, 2, 2]], "heads": [2], "seeds": [0]},
             "kronrank": {"dims_list": [[2, 2]], "seeds": [0]},
             "bench": {"variants": ["factored-linear"], "grids": {"factored-linear": [[4, 4], [8, 8]]},
-                      "reps": 3, "warmups": 0, "slope_windows": {}, "track_memory": False},
+                      "reps": 3, "warmups": 0},
         }
         out = tmp_path / "out"
         for command, body in configs.items():
