@@ -9,29 +9,42 @@ of the first tracked operand) and turns plain arrays into constants; the op
 computes its value and hands it to ``_node`` with a closure ``backward(g)``
 that accumulates the adjoint ``g`` into its tracked operands.  ``_node``
 returns a constant when no operand is tracked; otherwise it makes the output
-on the tape and records one node, which calls ``backward(out.grad)`` only if
-an adjoint reached the output.  Replaying the tape in reverse visits each
-recorded op exactly once.  Gradients accumulate into ``Var.grad`` buffers with
-the same shape as the primal values.  The sweep pops each node off the tape
-before it runs it, so a node's closure, and with it the forward values and
-adjoints only it holds, is freed as soon as the sweep has passed it rather
-than when the tape is dropped.
+on the tape and records one node, which calls ``backward`` only if an adjoint
+reached the output.  Replaying the tape in reverse visits each recorded op
+exactly once.  The sweep pops each node off the tape before it runs it, so a
+node's closure, and with it the forward values and adjoints only it holds, is
+freed as soon as the sweep has passed it rather than when the tape is dropped.
 
-Adjoints are shared, not copied: a ``Var`` may keep as its ``grad`` a view or
+A node keeps only what its adjoint formula reads.  Every tracked ``Var`` has a
+slot (``_Slot``: its ``grad``, whether it owns that buffer, and its shape),
+and a closure holds its operands' and its output's slots, not the ``Var``
+objects.  Of the values it holds only those its formula needs: ``matmul``,
+``affine``, ``apply_along`` and ``mul`` the other operand's, and only for a
+tracked side; ``exp`` and the softmaxes their output; ``power``, ``clip_min``
+and ``gelu`` their input (``gelu`` its CDF too); ``layer_norm_last`` the normalized rows, their
+inverse deviations and, for the input's adjoint, ``gamma``; ``rotate_pairs``
+its phases; the linear ops (``add``, ``sub``, ``scale``, ``reshape``,
+``transpose``, ``sum_axes``, ``concat_last``) shapes only.  So a forward value
+that no adjoint reads is freed as soon as the forward code drops its ``Var``.
+Off the tape, ``gelu``, ``layer_norm_last`` and ``affine`` finish in the
+buffer they have just allocated, since nothing reads it again.
+
+Adjoints are shared, not copied: a slot may keep as its ``grad`` a view or
 alias of another node's adjoint (a reshape, an add's pass-through, a
 ``broadcast_to``).  This is safe because a backward closure never writes into
-an adjoint it received, and a ``grad`` is only updated in place by the ``Var``
-that owns it (``owns_grad``); a second accumulation into a borrowed buffer
+an adjoint it received, and a ``grad`` is only updated in place when its slot
+owns it (``owns_grad``); a second accumulation into a borrowed buffer
 allocates a new one.  ``Tape.backward`` ends by copying every leaf ``grad``
 that is still borrowed, so leaf gradients are private and writable.
 
-A ``Var`` holds its tape weakly, while the tape holds its closures and they
-hold the ``Var`` objects.  So the caller's ``Tape`` is the only strong
-reference to a graph: when the caller drops or rebinds it before running
-backward, reference counting frees every recorded node at once, without
-waiting for the cyclic collector; after ``Tape.backward`` only the leaves and
-the ``Var`` objects the caller still holds are left.  An op on a tracked
-``Var`` whose tape is gone raises ``ValueError``.
+A ``Var`` holds its tape weakly, and the tape's nodes hold slots and arrays,
+never a ``Var`` or the tape.  So the caller's ``Tape`` is the only strong
+reference to a graph, and the graph has no reference cycles: when the caller
+drops or rebinds the tape before running backward, reference counting frees
+every recorded node at once, without waiting for the cyclic collector; after
+``Tape.backward`` only the leaves and the ``Var`` objects the caller still
+holds are left.  An op on a tracked ``Var`` whose tape is gone raises
+``ValueError``.
 
 Allocator policy.  A train step frees its whole graph, and the next step
 allocates the same arrays again; ``predict`` does the same from call to call.
@@ -101,35 +114,62 @@ class Tape:
     def backward(self, loss: "Var") -> None:
         """Seed the scalar ``loss`` with adjoint 1 and sweep the tape in reverse.
 
-        Each node is released as the sweep passes it, so afterwards the tape
-        holds only its leaves.
+        ``loss`` must have been recorded on this tape; otherwise ``ValueError``
+        is raised and the tape can still run its backward.  Each node is
+        released as the sweep passes it, so afterwards the tape holds only its
+        leaves.
         """
         if self._consumed:
             raise TapeConsumedError("tape already consumed by a previous backward()")
+        if loss.tape is not self:
+            raise ValueError("backward() needs a loss recorded on this tape")
         if loss.value.size != 1:
             raise ValueError("backward() needs a scalar loss")
         self._consumed = True
-        loss.grad = np.ones_like(loss.value)
-        loss.owns_grad = True
+        seed = loss._slot
+        seed.grad = np.ones_like(loss.value)
+        seed.owns_grad = True
         nodes = self._nodes
         while nodes:
             nodes.pop()()  # the node is freed once it has run
         for v in self._leaves:
-            if v.grad is not None and not v.owns_grad:
-                v.grad = np.array(v.grad, dtype=np.float64)
-                v.owns_grad = True
+            slot = v._slot
+            if slot.grad is not None and not slot.owns_grad:
+                slot.grad = np.array(slot.grad, dtype=np.float64)
+                slot.owns_grad = True
+
+
+class _Slot:
+    """What the tape keeps of a tracked ``Var``: its adjoint and its shape."""
+
+    __slots__ = ("grad", "owns_grad", "shape")
+
+    def __init__(self, shape: tuple):
+        self.grad = None
+        self.owns_grad = False  # True once ``grad`` is a buffer no one else holds
+        self.shape = shape
 
 
 class Var:
     """A value in the computation graph; ``grad`` is filled by ``Tape.backward``."""
 
-    __slots__ = ("value", "grad", "owns_grad", "_tape", "__weakref__")
+    __slots__ = ("value", "_slot", "_tape", "__weakref__")
 
     def __init__(self, value: np.ndarray, tape: Tape | None):
         self.value = np.asarray(value, dtype=np.float64)
-        self.grad = None
-        self.owns_grad = False  # True once ``grad`` is a buffer no one else holds
+        self._slot = None if tape is None else _Slot(self.value.shape)
         self._tape = None if tape is None else weakref.ref(tape)
+
+    @property
+    def grad(self) -> np.ndarray | None:
+        """The adjoint left by ``Tape.backward``; always None on a constant."""
+        return None if self._slot is None else self._slot.grad
+
+    @grad.setter
+    def grad(self, g) -> None:
+        if self._slot is None:
+            raise AttributeError("a constant has no gradient")
+        self._slot.grad = g
 
     @property
     def requires_grad(self) -> bool:
@@ -174,35 +214,46 @@ def _node(value: np.ndarray, tape: Tape | None, backward) -> Var:
 
     ``tape`` comes from ``_operands``, so it is None exactly when no operand is
     tracked, and the output is then a constant.  Otherwise the recorded node
-    calls ``backward(out.grad)`` once an adjoint has reached the output.
+    keeps only the output's slot and ``backward``, and calls
+    ``backward(grad)`` once an adjoint has reached the output.
     """
     if tape is None:
         return constant(value)
     out = Var(value, tape)
+    slot = out._slot
 
     def node():
-        if out.grad is not None:
-            backward(out.grad)
+        if slot.grad is not None:
+            backward(slot.grad)
     tape.record(node)
     return out
 
 
-def _accum(x: Var, g: np.ndarray, owned: bool = False) -> None:
-    """Add adjoint ``g`` into ``x.grad``, copying on write.
+def _unary(tape: Tape | None, a: Var, value: np.ndarray, adjoint, owned: bool = True) -> Var:
+    """The output of a one-operand op; ``adjoint(g)`` is what reaches ``a``.
+
+    ``owned`` says ``adjoint`` returns a fresh array, as in ``_accum``.
+    """
+    slot = a._slot
+    return _node(value, tape, lambda g: _accum(slot, adjoint(g), owned))
+
+
+def _accum(slot: _Slot, g: np.ndarray, owned: bool = False) -> None:
+    """Add adjoint ``g`` into ``slot.grad``, copying on write.
 
     The first adjoint is kept as it is.  ``owned`` says ``g`` is a fresh array
     no one else holds; otherwise it may be a (read-only) view or an alias of
     another node's ``grad``, so the next accumulation allocates ``grad + g``
     instead of writing into it.  An owned buffer accumulates in place.
     """
-    if x.grad is None:
-        x.grad = g
-        x.owns_grad = owned
-    elif x.owns_grad:
-        x.grad += g
+    if slot.grad is None:
+        slot.grad = g
+        slot.owns_grad = owned
+    elif slot.owns_grad:
+        slot.grad += g
     else:
-        x.grad = x.grad + g
-        x.owns_grad = True
+        slot.grad = slot.grad + g
+        slot.owns_grad = True
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -215,54 +266,67 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     return g.reshape(shape)
 
 
-def _binary(a, b, fwd, bwd_a, bwd_b, owned: bool = False):
+def _add_sub(a, b, op) -> Var:
+    """``op`` is ``np.add`` or ``np.subtract``; the adjoints read shapes only."""
     tape, (a, b) = _operands(a, b)
+    sa, sb = a._slot, b._slot
+    negate = op is np.subtract
 
     def backward(g):
-        if a.requires_grad:
-            _accum(a, _unbroadcast(bwd_a(g, a.value, b.value), a.shape), owned)
-        if b.requires_grad:
-            _accum(b, _unbroadcast(bwd_b(g, a.value, b.value), b.shape), owned)
-    return _node(fwd(a.value, b.value), tape, backward)
+        if sa is not None:
+            _accum(sa, _unbroadcast(g, sa.shape))
+        if sb is not None:
+            _accum(sb, _unbroadcast(-g if negate else g, sb.shape))
+    return _node(op(a.value, b.value), tape, backward)
 
 
 def add(a, b) -> Var:
-    return _binary(a, b, lambda x, y: x + y, lambda g, x, y: g, lambda g, x, y: g)
+    return _add_sub(a, b, np.add)
 
 
 def sub(a, b) -> Var:
-    return _binary(a, b, lambda x, y: x - y, lambda g, x, y: g, lambda g, x, y: -g)
+    return _add_sub(a, b, np.subtract)
 
 
 def mul(a, b) -> Var:
-    return _binary(a, b, lambda x, y: x * y, lambda g, x, y: g * y, lambda g, x, y: g * x,
-                   owned=True)
+    tape, (a, b) = _operands(a, b)
+    sa, sb = a._slot, b._slot
+    # each adjoint reads only the other operand's value
+    av = a.value if sb is not None else None
+    bv = b.value if sa is not None else None
 
-
-def _unary(a, fwd, bwd, owned: bool = False):
-    tape, (a,) = _operands(a)
-    out = _node(fwd(a.value), tape, lambda g: _accum(a, bwd(g, a.value, out.value), owned))
-    return out
+    def backward(g):
+        if sa is not None:
+            _accum(sa, _unbroadcast(g * bv, sa.shape), owned=True)
+        if sb is not None:
+            _accum(sb, _unbroadcast(g * av, sb.shape), owned=True)
+    return _node(a.value * b.value, tape, backward)
 
 
 def scale(a, c: float) -> Var:
     c = float(c)
-    return _unary(a, lambda x: x * c, lambda g, x, y: g * c, owned=True)
+    tape, (a,) = _operands(a)
+    return _unary(tape, a, a.value * c, lambda g: g * c)
 
 
 def exp(a) -> Var:
-    return _unary(a, np.exp, lambda g, x, y: g * y, owned=True)
+    tape, (a,) = _operands(a)
+    y = np.exp(a.value)
+    return _unary(tape, a, y, lambda g: g * y)
 
 
 def power(a, p: float) -> Var:
     p = float(p)
-    return _unary(a, lambda x: x ** p, lambda g, x, y: g * p * x ** (p - 1.0), owned=True)
+    tape, (a,) = _operands(a)
+    x = a.value
+    return _unary(tape, a, x ** p, lambda g: g * p * x ** (p - 1.0))
 
 
 def clip_min(a, floor: float) -> Var:
     floor = float(floor)
-    return _unary(a, lambda x: np.maximum(x, floor), lambda g, x, y: g * (x > floor),
-                  owned=True)
+    tape, (a,) = _operands(a)
+    x = a.value
+    return _unary(tape, a, np.maximum(x, floor), lambda g: g * (x > floor))
 
 
 def gelu(a) -> Var:
@@ -270,11 +334,14 @@ def gelu(a) -> Var:
     tape, (a,) = _operands(a)
     x = a.value
     cdf = ndtr(x)  # Phi(x) = (1 + erf(x / sqrt(2))) / 2, reused by the adjoint
+    if tape is None:  # no adjoint reads cdf: finish in its buffer
+        cdf *= x
+        return constant(cdf)
 
-    def backward(g):
+    def adjoint(g):
         pdf = _INV_SQRT2PI * np.exp(-0.5 * x * x)
-        _accum(a, g * (cdf + x * pdf), owned=True)
-    return _node(x * cdf, tape, backward)
+        return g * (cdf + x * pdf)
+    return _unary(tape, a, x * cdf, adjoint)
 
 
 def _row_sum(*factors: np.ndarray) -> np.ndarray:
@@ -289,20 +356,26 @@ def layer_norm_last(a, gamma, beta, eps: float) -> Var:
     xhat = a.value - _row_sum(a.value) / n
     rstd = 1.0 / np.sqrt(_row_sum(xhat, xhat) / n + eps)
     xhat *= rstd
+    if tape is None and np.broadcast_shapes(xhat.shape, gamma.shape, beta.shape) == xhat.shape:
+        xhat *= gamma.value  # no adjoint reads xhat: finish in its buffer
+        xhat += beta.value
+        return constant(xhat)
     y = xhat * gamma.value
     y += beta.value
+    sa, sg, sb = a._slot, gamma._slot, beta._slot
+    gv = gamma.value if sa is not None else None  # read only by a's adjoint
 
     def backward(g):
-        if a.requires_grad:
-            gy = g * gamma.value
+        if sa is not None:
+            gy = g * gv
             dx = gy - _row_sum(gy) / n
             dx -= xhat * (_row_sum(gy, xhat) / n)
             dx *= rstd
-            _accum(a, dx, owned=True)
-        if gamma.requires_grad:
-            _accum(gamma, _unbroadcast(g * xhat, gamma.shape), owned=True)
-        if beta.requires_grad:
-            _accum(beta, _unbroadcast(g, beta.shape))
+            _accum(sa, dx, owned=True)
+        if sg is not None:
+            _accum(sg, _unbroadcast(g * xhat, sg.shape), owned=True)
+        if sb is not None:
+            _accum(sb, _unbroadcast(g, sb.shape))
     return _node(y, tape, backward)
 
 
@@ -320,23 +393,22 @@ def rotate_pairs(a, phase: np.ndarray) -> Var:
     ``g * conj(phase)``.
     """
     tape, (a,) = _operands(a)
-    return _node(_turn_pairs(a.value, phase), tape,
-                 lambda g: _accum(a, _turn_pairs(g, phase.conj()), owned=True))
+    return _unary(tape, a, _turn_pairs(a.value, phase), lambda g: _turn_pairs(g, phase.conj()))
 
 
 def reshape(a, shape) -> Var:
-    shape = tuple(shape)
-    return _unary(a, lambda x: x.reshape(shape), lambda g, x, y: g.reshape(x.shape))
+    tape, (a,) = _operands(a)
+    shape_in = a.shape
+    return _unary(tape, a, a.value.reshape(tuple(shape)), lambda g: g.reshape(shape_in),
+                  owned=False)
 
 
 def transpose(a, axes) -> Var:
     axes = tuple(axes)
     inverse = tuple(np.argsort(axes))
-    return _unary(
-        a,
-        lambda x: np.ascontiguousarray(np.transpose(x, axes)),
-        lambda g, x, y: np.transpose(g, inverse),
-    )
+    tape, (a,) = _operands(a)
+    return _unary(tape, a, np.ascontiguousarray(np.transpose(a.value, axes)),
+                  lambda g: np.transpose(g, inverse), owned=False)
 
 
 def sum_axes(a, axes=None, keepdims: bool = False) -> Var:
@@ -349,12 +421,13 @@ def sum_axes(a, axes=None, keepdims: bool = False) -> Var:
     value = np.einsum(a.value, list(range(nd)), kept) if axes else a.value.copy()
     if keepdims:
         value = np.expand_dims(value, axes)
+    shape = a.shape
 
-    def backward(g):
+    def adjoint(g):
         if not keepdims:
             g = np.expand_dims(g, axes)
-        _accum(a, np.broadcast_to(g, a.shape))
-    return _node(value, tape, backward)
+        return np.broadcast_to(g, shape)
+    return _unary(tape, a, value, adjoint, owned=False)
 
 
 def mean_all(a) -> Var:
@@ -362,35 +435,70 @@ def mean_all(a) -> Var:
     return scale(sum_axes(a), 1.0 / a.value.size)
 
 
-def matmul(a, b, ta: bool = False, tb: bool = False) -> Var:
-    """Batched matrix product over the last two axes (BLAS-backed).
+def _matmul_backward(sa: _Slot | None, sb: _Slot | None, lhs: np.ndarray, rhs: np.ndarray,
+                     ta: bool, tb: bool):
+    """The adjoint of ``lhs @ rhs`` into slots ``sa``/``sb`` of the untransposed operands.
 
-    ``ta``/``tb`` transpose the last two axes of the operand first.  Leading
-    axes must match exactly, except that a 2-D ``b`` broadcasts across all
-    leading axes of ``a`` (the usual shared-weight case).
+    Each side's adjoint reads only the other side, so ``rhs`` is kept only
+    when ``a`` is tracked and ``lhs`` only when ``b`` is.
     """
-    tape, (a, b) = _operands(a, b)
-    av, bv = a.value, b.value
-    lhs = av.swapaxes(-1, -2) if ta else av
-    rhs = bv.swapaxes(-1, -2) if tb else bv
+    shared_weight = rhs.ndim == 2 and lhs.ndim != 2
+    lhs = lhs if sb is not None else None
+    rhs = rhs if sa is not None else None
 
     def backward(g):
-        if a.requires_grad:
+        if sa is not None:
             # y = A @ B with A = a^T(a) etc.; undo the transposes
             if ta:
                 da = np.matmul(rhs, g.swapaxes(-1, -2))
             else:
                 da = np.matmul(g, rhs.swapaxes(-1, -2))
-            _accum(a, da, owned=True)
-        if b.requires_grad:
-            if bv.ndim == 2 and av.ndim > 2:
+            _accum(sa, da, owned=True)
+        if sb is not None:
+            if shared_weight:
                 db = lhs.reshape(-1, lhs.shape[-1]).T @ g.reshape(-1, g.shape[-1])
             else:
                 db = np.matmul(lhs.swapaxes(-1, -2), g)
             if tb:
                 db = db.swapaxes(-1, -2)
-            _accum(b, db, owned=True)
-    return _node(np.matmul(lhs, rhs), tape, backward)
+            _accum(sb, db, owned=True)
+    return backward
+
+
+def matmul(a, b, ta: bool = False, tb: bool = False) -> Var:
+    """Batched matrix product over the last two axes (BLAS-backed).
+
+    ``ta``/``tb`` transpose the last two axes of the operand first.  Leading
+    axes must match exactly, except that a 2-D ``b`` broadcasts across all
+    leading axes of ``a`` (the usual shared-weight case), and a 1-D ``a`` is
+    a single row.
+    """
+    tape, (a, b) = _operands(a, b)
+    lhs = a.value.swapaxes(-1, -2) if ta else a.value
+    rhs = b.value.swapaxes(-1, -2) if tb else b.value
+    return _node(np.matmul(lhs, rhs), tape, _matmul_backward(a._slot, b._slot, lhs, rhs, ta, tb))
+
+
+def affine(x, w, b) -> Var:
+    """``x @ w + b`` as one node, the bias added in place into the fresh product.
+
+    ``w`` is 2-D and ``b`` broadcasts against ``x @ w`` without enlarging it
+    (a bias vector).  The adjoints of ``x`` and ``w`` are those of ``matmul``;
+    that of ``b`` is the output adjoint summed over its broadcast axes.
+    """
+    tape, (x, w, b) = _operands(x, w, b)
+    y = np.matmul(x.value, w.value)
+    y += b.value
+    matmul_backward = _matmul_backward(x._slot, w._slot, x.value, w.value, False, False)
+    sb = b._slot
+
+    def backward(g):
+        if sb is not None:
+            gb = _unbroadcast(g, sb.shape)
+            # without a sum (1-D x) gb is a view of g, which other nodes may share
+            _accum(sb, gb, owned=not np.may_share_memory(gb, g))
+        matmul_backward(g)
+    return _node(y, tape, backward)
 
 
 def apply_along(s, t, axis: int, lead: int = 1) -> Var:
@@ -416,26 +524,31 @@ def apply_along(s, t, axis: int, lead: int = 1) -> Var:
     sv = s.value[..., None, :, :]
     t3 = t.value.reshape(lead_shape + (pre, n, post))
     out_shape = shape[:axis] + (d,) + shape[axis + 1:]
+    value = np.matmul(sv, t3).reshape(out_shape)
+    ss, st = s._slot, t._slot
+    # each adjoint reads only the other operand
+    sv = sv if st is not None else None
+    t3 = t3 if ss is not None else None
 
     def backward(g):
         g3 = g.reshape(lead_shape + (pre, d, post))
-        if t.requires_grad:
-            _accum(t, np.matmul(sv.swapaxes(-1, -2), g3).reshape(shape), owned=True)
-        if s.requires_grad:
-            _accum(s, np.matmul(g3, t3.swapaxes(-1, -2)).sum(axis=-3), owned=True)
-    return _node(np.matmul(sv, t3).reshape(out_shape), tape, backward)
+        if st is not None:
+            _accum(st, np.matmul(sv.swapaxes(-1, -2), g3).reshape(shape), owned=True)
+        if ss is not None:
+            _accum(ss, np.matmul(g3, t3.swapaxes(-1, -2)).sum(axis=-3), owned=True)
+    return _node(value, tape, backward)
 
 
 def concat_last(xs) -> Var:
     """Concatenate along the last axis; the adjoint slices gradients back."""
     tape, xs = _operands(*xs)
+    slots = [(x._slot, x.shape[-1]) for x in xs]
 
     def backward(g):
         offset = 0
-        for x in xs:
-            w = x.shape[-1]
-            if x.requires_grad:
-                _accum(x, g[..., offset:offset + w])
+        for slot, w in slots:
+            if slot is not None:
+                _accum(slot, g[..., offset:offset + w])
             offset += w
     return _node(np.concatenate([x.value for x in xs], axis=-1), tape, backward)
 
@@ -446,8 +559,7 @@ def softmax_last(a) -> Var:
     shifted = a.value - a.value.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     p = e / e.sum(axis=-1, keepdims=True)
-    return _node(p, tape,
-                 lambda g: _accum(a, p * (g - (g * p).sum(axis=-1, keepdims=True)), owned=True))
+    return _unary(tape, a, p, lambda g: p * (g - (g * p).sum(axis=-1, keepdims=True)))
 
 
 def log_softmax_last(a) -> Var:
@@ -455,5 +567,4 @@ def log_softmax_last(a) -> Var:
     shifted = a.value - a.value.max(axis=-1, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     out = shifted - lse
-    return _node(out, tape,
-                 lambda g: _accum(a, g - np.exp(out) * g.sum(axis=-1, keepdims=True), owned=True))
+    return _unary(tape, a, out, lambda g: g - np.exp(out) * g.sum(axis=-1, keepdims=True))

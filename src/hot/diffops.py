@@ -33,8 +33,7 @@ def sum_except_v(t: Var, keep_axes) -> Var:
 
 def affine_v(x: Var, w: Var, b: Var | None = None) -> Var:
     """Affine map along the hidden (last) axis: x @ w + b."""
-    y = ad.matmul(x, w)
-    return y if b is None else ad.add(y, b)
+    return ad.matmul(x, w) if b is None else ad.affine(x, w, b)
 
 
 def layer_norm_v(x: Var, gamma: Var, beta: Var, eps: float = 1e-5) -> Var:

@@ -380,7 +380,13 @@ def train_model(model: HOTModel, data: Dataset, steps: int, batch_size: int = 32
 
     Both the lowest-val-MAE and lowest-val-MSE selection steps are reported so
     selection rules can be compared; training always runs the full budget.
+    Raises ``ValueError`` before any work when ``steps < 0``,
+    ``batch_size < 1`` or ``eval_every < 1``.
     """
+    for name, value, least in (("steps", steps, 0), ("batch_size", batch_size, 1),
+                               ("eval_every", eval_every, 1)):
+        if value < least:
+            raise ValueError(f"{name} must be at least {least}, got {value}")
     rng = np.random.default_rng(seed)
     state = adam_init(model.params, lr=lr)
     history = []
@@ -440,7 +446,7 @@ def train_linear_readout(data: Dataset, steps: int, batch_size: int = 32,
         tape = Tape()
         w = tape.var(params["w"])
         b = tape.var(params["b"])
-        pred = ad.add(ad.matmul(ad.constant(flat_x[idx]), w), b)
+        pred = ad.affine(flat_x[idx], w, b)
         loss = mse_v(pred, flat_y[idx])
         tape.backward(loss)
         params = adam_step(state, {"w": w.grad, "b": b.grad}, params)

@@ -222,6 +222,69 @@ class TestMatmul:
         assert np.allclose(w.grad, np.tile(x0.reshape(6, 4).sum(axis=0)[:, None], (1, 5)), atol=1e-12)
 
 
+class TestAffine:
+    @pytest.mark.parametrize("x_shape", [(2, 3, 4), (3, 4), (4,)], ids=["nd", "2d", "1d"])
+    @pytest.mark.parametrize("bias_tracked", [True, False], ids=["tracked_bias", "constant_bias"])
+    def test_against_numeric(self, x_shape, bias_tracked):
+        rng = np.random.default_rng(26)
+        x0, w0, b0 = (rng.standard_normal(s) for s in (x_shape, (4, 5), (5,)))
+        c = rng.standard_normal(x_shape[:-1] + (5,))
+
+        def loss_of(x, w, b):
+            y = ad.affine(x, w, b)
+            return ad.sum_axes(ad.mul(ad.mul(y, y), ad.constant(c)))
+
+        tape = Tape()
+        x, w = tape.var(x0.copy()), tape.var(w0.copy())
+        b = tape.var(b0.copy()) if bias_tracked else ad.constant(b0)
+        tape.backward(loss_of(x, w, b))
+        assert b.grad.flags.writeable if bias_tracked else b.grad is None
+        for var, v0, rebuild in ((x, x0, lambda v: (v, w0, b0)), (w, w0, lambda v: (x0, v, b0)),
+                                 (b, b0, lambda v: (x0, w0, v))):
+            if var.requires_grad:
+                num = numeric_grad(lambda v: float(loss_of(*map(ad.constant, rebuild(v))).value),
+                                   v0.copy())
+                assert np.abs(var.grad - num).max() <= 1e-7 * max(1.0, np.abs(num).max())
+
+    def test_equals_matmul_then_add(self):
+        rng = np.random.default_rng(27)
+        x0, w0, b0 = rng.standard_normal((2, 3, 4)), rng.standard_normal((4, 5)), rng.standard_normal(5)
+        grads = []
+        for fused in (True, False):
+            tape = Tape()
+            x, w, b = tape.var(x0), tape.var(w0), tape.var(b0)
+            y = ad.affine(x, w, b) if fused else ad.add(ad.matmul(x, w), b)
+            tape.backward(ad.sum_axes(ad.mul(y, y)))
+            grads.append([y.value, x.grad, w.grad, b.grad])
+        assert all(np.array_equal(f, u) for f, u in zip(*grads))
+
+
+class TestOffTape:
+    """Off the tape, ops that finish in their own buffer leave their inputs unchanged."""
+
+    @pytest.mark.parametrize("op,shapes", [
+        (ad.gelu, [(3, 4)]),
+        (lambda a, g, b: ad.layer_norm_last(a, g, b, 1e-5), [(3, 4), (4,), (4,)]),
+        (ad.affine, [(2, 3, 4), (4, 5), (5,)]),
+    ], ids=["gelu", "layer_norm_last", "affine"])
+    def test_inputs_unchanged_and_values_match_the_tape(self, op, shapes):
+        arrays = _arrays(*shapes)
+        before = [a.copy() for a in arrays]
+        off = op(*arrays).value
+        assert all(np.array_equal(a, b) for a, b in zip(arrays, before))
+        tape = Tape()
+        on = op(*[tape.var(a) for a in arrays]).value
+        assert np.array_equal(off, on)
+        assert all(np.array_equal(a, b) for a, b in zip(arrays, before))
+
+    def test_layer_norm_with_a_wider_scale_broadcasts(self):
+        x, gamma, beta = _arrays((3, 4), (2, 3, 4), (4,))
+        out = ad.layer_norm_last(x, gamma, beta, 1e-5).value
+        tape = Tape()
+        assert np.array_equal(out, ad.layer_norm_last(tape.var(x), gamma, beta, 1e-5).value)
+        assert out.shape == (2, 3, 4)
+
+
 class TestSoftmaxJacobian:
     def test_action_matches_analytic_on_123(self):
         # J = diag(p) - p p^T acting on an arbitrary upstream gradient
@@ -252,6 +315,19 @@ class TestTape:
         x = tape.var(np.ones(3))
         with pytest.raises(ValueError):
             tape.backward(ad.mul(x, x))
+
+    @pytest.mark.parametrize("foreign", ["other_tape", "constant"])
+    def test_backward_refuses_a_loss_not_on_this_tape_and_stays_usable(self, foreign):
+        tape = Tape()
+        x = tape.var(np.array(3.0))
+        loss = ad.mul(x, x)
+        other = Tape()
+        bad = ad.mul(other.var(np.array(1.0)), 2.0) if foreign == "other_tape" else ad.constant(2.0)
+        with pytest.raises(ValueError, match="this tape"):
+            tape.backward(bad)
+        assert x.grad is None
+        tape.backward(loss)
+        assert x.grad == 6.0
 
     def test_constants_collect_no_grad(self):
         tape = Tape()
@@ -299,6 +375,7 @@ _PRIMITIVES = [
     ("transpose", lambda a: ad.transpose(a, (1, 0)), [(3, 4)]),
     ("sum_axes", lambda a: ad.sum_axes(a, 1), [(3, 4)]),
     ("matmul", ad.matmul, [(2, 3, 4), (4, 5)]),
+    ("affine", ad.affine, [(2, 3, 4), (4, 5), (5,)]),
     ("apply_along", lambda s, t: ad.apply_along(s, t, 1), [(2, 5, 3), (2, 3, 4)]),
     ("concat_last", lambda *xs: ad.concat_last(xs), [(3, 2), (3, 4), (3, 1)]),
     ("softmax_last", ad.softmax_last, [(3, 4)]),
@@ -306,6 +383,27 @@ _PRIMITIVES = [
 ]
 _TRACKED_CASES = [pytest.param(op, shapes, i, id=f"{name}-arg{i}")
                   for name, op, shapes in _PRIMITIVES for i in range(len(shapes))]
+
+# per primitive: operand i -> the values its adjoint reads (operand indices, or "out")
+_READS = {
+    "mul": {0: {1}, 1: {0}},
+    "exp": {0: {"out"}},
+    "power": {0: {0}},
+    "clip_min": {0: {0}},
+    "gelu": {0: {0}},
+    "layer_norm_last": {0: {1}},
+    "matmul": {0: {1}, 1: {0}},
+    "affine": {0: {1}, 1: {0}},
+    "apply_along": {0: {1}, 1: {0}},
+    "softmax_last": {0: {"out"}},
+    "log_softmax_last": {0: {"out"}},
+}
+# every operand tracked, then each operand alone
+_LIFETIME_CASES = [pytest.param(name, op, shapes, tracked, id=f"{name}-{label}")
+                   for name, op, shapes in _PRIMITIVES
+                   for label, tracked in ([("all", tuple(range(len(shapes))))]
+                                          + ([(f"arg{i}", (i,)) for i in range(len(shapes))]
+                                             if len(shapes) > 1 else []))]
 
 
 class TestNodeContract:
@@ -330,6 +428,23 @@ class TestNodeContract:
         assert tape.recorded == 0
         assert isinstance(out, ad.Var)
         assert out.tape is None and not out.requires_grad
+
+    @pytest.mark.parametrize("name,op,shapes,tracked", _LIFETIME_CASES)
+    def test_node_keeps_only_the_values_its_adjoints_read(self, name, op, shapes, tracked):
+        tape = Tape()
+        # tracked operands are outputs of a node that keeps nothing, so only
+        # their Var and the node under test can hold their values
+        operands = [ad.scale(tape.var(v), 1.0) if i in tracked else ad.constant(v)
+                    for i, v in enumerate(_arrays(*shapes))]
+        out = op(*operands)
+        loss = ad.sum_axes(ad.mul(out, ad.constant(np.ones(out.shape))))
+        values = {i: weakref.ref(x.value) for i, x in enumerate(operands)}
+        values["out"] = weakref.ref(out.value)
+        del operands, out
+        read = set().union(*(_READS.get(name, {}).get(i, set()) for i in tracked))
+        assert {k for k, ref in values.items() if ref() is not None} == read
+        tape.backward(loss)
+        assert all(ref() is None for ref in values.values())
 
     def test_concat_last_grads_reach_only_tracked_inputs(self):
         rng = np.random.default_rng(22)
@@ -412,6 +527,35 @@ class TestTapeLifetime:
             del kept
         assert all(np.array_equal(grads[0][k], grads[1][k]) for k in grads[0])
 
+    def test_releasing_forward_values_leaves_model_gradients_unchanged(self, monkeypatch):
+        # the same step twice: once as the forward drops its Vars, once with every Var kept
+        cfg = ModelConfig(
+            raw_dims=(32, 8), patch=PatchEmbedConfig((4, 1)), rotary=RotaryConfig(modes=(0, 1)),
+            block=HOTBlockConfig(dims=(8, 8), d_model=32, heads=4, ffn_dim=64),
+            num_blocks=1, head=HeadConfig(task="forecast", pooling="mean", horizon=4, n_series=8),
+        )
+        model = HOTModel.initialize(cfg, seed=0)
+        rng = np.random.default_rng(25)
+        x, y = rng.standard_normal((4, 32, 8)), rng.standard_normal((4, 4, 8))
+        kept = []
+        node = ad._node
+
+        def keeping_node(value, tape, backward):
+            out = node(value, tape, backward)
+            kept.append(out)
+            return out
+
+        grads = []
+        for keep in (False, True):
+            if keep:
+                monkeypatch.setattr(ad, "_node", keeping_node)
+            tape = Tape()
+            loss, leaves = model_loss(model, x, y, tape)
+            tape.backward(loss)
+            grads.append({k: v.grad for k, v in leaves.items()})
+        assert len(kept) > 40
+        assert all(np.array_equal(grads[0][k], grads[1][k]) for k in grads[0])
+
     def test_op_on_a_leaf_of_a_freed_tape_raises(self):
         x = Tape().var(np.ones(3))
         with pytest.raises(ValueError, match="freed"):
@@ -429,7 +573,10 @@ class TestGradOwnership:
         # a's only adjoint is a read-only broadcast_to view of sum_axes
         lambda a, b: ad.add(ad.sum_axes(a, 1, keepdims=True), b),
         lambda a, b: ad.add(ad.add(a, a), b),
-    ], ids=["add", "sub", "concat_last", "reshape_transpose", "sum_axes", "add_same_leaf"])
+        # a bias the shape of the output gets a view of the adjoint, as add does
+        lambda a, b: ad.add(ad.affine(a, np.eye(4), b), b),
+    ], ids=["add", "sub", "concat_last", "reshape_transpose", "sum_axes", "add_same_leaf",
+            "affine_full_bias"])
     def test_leaf_grads_share_no_memory(self, build):
         rng = np.random.default_rng(17)
         tape = Tape()

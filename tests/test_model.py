@@ -1,5 +1,6 @@
 """Encoder block, rotary phases, patching, heads, and checkpoint tests."""
 
+import dataclasses
 import gc
 import json
 import math
@@ -394,6 +395,18 @@ class TestModelForward:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+    @TRAINING_CONFIGS
+    def test_predict_equals_the_taped_forward(self, cfg):
+        # off the tape, gelu, layer norm and the biased affines finish in their own buffers
+        for placement in ("post", "pre"):
+            cfg = dataclasses.replace(
+                cfg, block=dataclasses.replace(cfg.block, norm_placement=placement))
+            model = HOTModel.initialize(cfg, seed=0)
+            x = np.random.default_rng(16).standard_normal((3,) + cfg.raw_dims)
+            tape = Tape()
+            taped = model.forward(x, {k: tape.var(v) for k, v in model.params.items()}).value
+            assert np.array_equal(model.predict(x), taped)
 
     @TRAINING_CONFIGS
     def test_training_leaves_no_reference_cycles(self, cfg):

@@ -217,6 +217,30 @@ class TestTrainingLoop:
         assert 1 <= res.best_val_mae_step <= 40
         assert 1 <= res.best_val_mse_step <= 40
 
+    @pytest.mark.parametrize("kwargs", [
+        {"steps": -1}, {"batch_size": 0}, {"eval_every": 0}, {"eval_every": -3},
+    ], ids=["steps--1", "batch_size-0", "eval_every-0", "eval_every--3"])
+    def test_out_of_range_arguments_raise_before_any_work(self, kwargs, monkeypatch):
+        spec = SyntheticTaskSpec(kind="separable-spatiotemporal-forecast",
+                                 n_train=8, n_val=4, seed=8, t_len=16, n_series=4, horizon=4)
+        data = gen_synthetic(spec)
+        model = tiny_forecast_model(seed=3)
+        before = {k: v.copy() for k, v in model.params.items()}
+        monkeypatch.setattr(HOTModel, "predict", lambda *a: pytest.fail("predict ran"))
+        args = {"steps": 3, "batch_size": 4, "eval_every": 1} | kwargs
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            train_model(model, data, **args)
+        assert all(np.array_equal(model.params[k], v) for k, v in before.items())
+
+    def test_zero_steps_trains_nothing(self):
+        spec = SyntheticTaskSpec(kind="separable-spatiotemporal-forecast",
+                                 n_train=8, n_val=4, seed=8, t_len=16, n_series=4, horizon=4)
+        data = gen_synthetic(spec)
+        model = tiny_forecast_model(seed=3)
+        res = train_model(model, data, steps=0, batch_size=4)
+        assert res.history == []
+        assert res.final_train_mse == mse(model.predict(data.train_x), data.train_y)
+
     def test_linear_readout_baseline_runs(self):
         spec = SyntheticTaskSpec(kind="separable-spatiotemporal-forecast",
                                  n_train=32, n_val=8, seed=6, t_len=16, n_series=4,
