@@ -892,8 +892,14 @@ def main(argv=None) -> int:
         print(f"config error: {e}", file=sys.stderr)
         return 2
 
+    # every directory the command writes into exists before any work starts
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    for directory in [out_dir] + ([out_dir / "checkpoint"] if args.command == "train" else []):
+        try:
+            directory.mkdir(parents=True, exist_ok=True)
+        except OSError as e:
+            print(f"error: cannot write to {directory}: {e.strerror}", file=sys.stderr)
+            return 2
     return COMMANDS[args.command](config, out_dir)
 
 

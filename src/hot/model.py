@@ -42,7 +42,11 @@ from .io import TensorFileError, read_tensor, write_tensor
 from .tensor import as_tensor
 
 VARIANTS = ("full-softmax", "full-linear", "factored-softmax", "factored-linear")
-PREDICT_CHUNK = 64  # samples per forward in HOTModel.predict
+# Token rows per forward in HOTModel.predict.  An off-tape forward over 8192
+# rows holds less than a taped train step over 4096 (batch 64 at 8x8 tokens,
+# or batch 8 at 8^3), so at those configurations evaluation does not set a
+# training run's peak memory.
+PREDICT_ROWS = 8192
 
 
 @dataclass(frozen=True)
@@ -483,15 +487,18 @@ class HOTModel:
         return out
 
     def predict(self, x_raw: np.ndarray) -> np.ndarray:
-        """``forward(x_raw).value``, computed over chunks of :data:`PREDICT_CHUNK` samples.
+        """``forward(x_raw).value``, computed over chunks of at most :data:`PREDICT_ROWS` token rows.
 
-        Only one chunk's working set is alive at a time, so memory does not
-        grow with the number of samples.
+        A chunk is ``PREDICT_ROWS // prod(token_dims)`` samples, and one sample
+        when a single sample has more rows than that.  Only one chunk's
+        working set is alive at a time, so memory grows neither with the
+        number of samples nor with their grid size.
         """
-        if x_raw.shape[0] <= PREDICT_CHUNK:
+        chunk = max(1, PREDICT_ROWS // math.prod(self.config.token_dims))
+        if x_raw.shape[0] <= chunk:
             return self.forward(x_raw).value
-        return np.concatenate([self.forward(x_raw[i:i + PREDICT_CHUNK]).value
-                               for i in range(0, x_raw.shape[0], PREDICT_CHUNK)])
+        return np.concatenate([self.forward(x_raw[i:i + chunk]).value
+                               for i in range(0, x_raw.shape[0], chunk)])
 
     # -- checkpointing ------------------------------------------------------
 

@@ -274,6 +274,16 @@ class TestKronrankCommand:
         run_cli(["kronrank", "--config", str(cfg), "--out", str(b)])
         assert (a / "kronrank.csv").read_bytes() == (b / "kronrank.csv").read_bytes()
 
+    @pytest.mark.parametrize("sub", ["", "sub"])
+    def test_unusable_out_exits_2_before_any_work(self, tmp_path, capsys, monkeypatch, sub):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out = blocker / sub if sub else blocker
+        monkeypatch.setitem(hot.cli.COMMANDS, "kronrank", lambda *a: pytest.fail("work started"))
+        assert run_cli(["kronrank", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(out) in err
+
 
 class TestGradcheckCommand:
     def test_single_seed_passes(self, tmp_path):
@@ -347,6 +357,17 @@ class TestTrainAblateCommands:
 
         model = HOTModel.load(out / "checkpoint")
         assert model.parameter_count() > 0
+
+    def test_checkpoint_path_taken_by_a_file_exits_2_before_any_work(self, tmp_path, capsys,
+                                                                     monkeypatch):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "checkpoint").write_text("")
+        monkeypatch.setitem(hot.cli.COMMANDS, "train", lambda *a: pytest.fail("work started"))
+        assert run_cli(["train", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(out / "checkpoint") in err
+        assert not (out / "train_log.csv").exists()
 
     def test_micro_ablate_grid(self, tmp_path):
         cfg = tmp_path / "ablate.json"

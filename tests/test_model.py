@@ -5,6 +5,7 @@ import gc
 import json
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from hot.model import (
     HOTBlockConfig,
     HOTModel,
     ModelConfig,
-    PREDICT_CHUNK,
+    PREDICT_ROWS,
     PatchEmbedConfig,
     RotaryConfig,
     VARIANTS,
@@ -357,11 +358,9 @@ class TestModelForward:
         }
         assert len(set(counts.values())) == 1, counts
 
-    @TRAINING_CONFIGS
-    def test_predict_runs_forward_in_chunks(self, cfg, monkeypatch):
-        model = HOTModel.initialize(cfg, seed=2)
-        x = np.random.default_rng(16).standard_normal((2 * PREDICT_CHUNK + 2,) + cfg.raw_dims)
-        whole = model.forward(x).value
+    @staticmethod
+    def _record_chunks(model, monkeypatch):
+        """Make ``model.forward`` append each chunk's output to the returned list."""
         chunks = []
 
         def forward(x_raw):
@@ -369,10 +368,56 @@ class TestModelForward:
             return ad.constant(chunks[-1])
 
         monkeypatch.setattr(model, "forward", forward)
+        return chunks
+
+    @TRAINING_CONFIGS
+    def test_predict_runs_forward_in_chunks(self, cfg, monkeypatch):
+        model = HOTModel.initialize(cfg, seed=2)
+        c = PREDICT_ROWS // math.prod(cfg.token_dims)
+        x = np.random.default_rng(16).standard_normal((2 * c + 2,) + cfg.raw_dims)
+        whole = model.forward(x).value
+        chunks = self._record_chunks(model, monkeypatch)
         out = model.predict(x)
-        assert [len(c) for c in chunks] == [PREDICT_CHUNK, PREDICT_CHUNK, 2]
+        assert [len(chunk) for chunk in chunks] == [c, c, 2]
         assert np.array_equal(out, np.concatenate(chunks))
         assert np.abs(out - whole).max() <= 1e-12
+
+    @TRAINING_CONFIGS
+    def test_predict_runs_one_sample_per_forward_above_the_row_budget(self, cfg, monkeypatch):
+        model = HOTModel.initialize(cfg, seed=2)
+        x = np.random.default_rng(17).standard_normal((3,) + cfg.raw_dims)
+        whole = model.forward(x).value
+        monkeypatch.setattr(hot.model, "PREDICT_ROWS", math.prod(cfg.token_dims) - 1)
+        chunks = self._record_chunks(model, monkeypatch)
+        out = model.predict(x)
+        assert [len(chunk) for chunk in chunks] == [1, 1, 1]
+        assert np.abs(out - whole).max() <= 1e-12
+
+    def test_predict_memory_does_not_grow_with_the_number_of_chunks(self):
+        # 8^3 tokens: 16 samples a chunk, the grid of the voxel training benchmark
+        cfg = ModelConfig(
+            raw_dims=(16, 16, 16), patch=PatchEmbedConfig((2, 2, 2)),
+            rotary=RotaryConfig(modes=(0, 1, 2)),
+            block=HOTBlockConfig(dims=(8, 8, 8), d_model=16, heads=2, ffn_dim=32,
+                                 variant="factored-linear",
+                                 feature_spec=FeatureMapSpec(16, 8, seed=11)),
+            num_blocks=1, head=HeadConfig(task="classify", pooling="flatten", num_classes=2),
+        )
+        model = HOTModel.initialize(cfg, seed=0)
+        c = PREDICT_ROWS // math.prod(cfg.token_dims)
+        x = np.random.default_rng(18).standard_normal((4 * c,) + cfg.raw_dims)
+        model.predict(x[:c])  # warm the rotary and feature caches outside the trace
+
+        def traced_peak(batch):
+            tracemalloc.start()
+            try:
+                model.predict(batch)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one, four = traced_peak(x[:c]), traced_peak(x)
+        assert four <= 1.2 * one, (one, four)
 
     def test_predict_on_no_samples_is_forward(self):
         model = HOTModel.initialize(small_config(), seed=2)
