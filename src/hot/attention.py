@@ -38,11 +38,13 @@ class OracleSizeError(ValueError):
 
 @dataclass(frozen=True)
 class AttentionWeights:
-    """Per-head projection matrices.
+    """Projection matrices of all heads, in the fused layout the model's sublayer takes.
 
-    ``wq``, ``wk``, ``wv`` have shape (heads, D, D_H) and ``wo`` has shape
-    (heads, D_H, D), with D = heads * D_H.  Projections map the hidden
-    dimension D down to D_H; the output projection maps back.
+    ``wq``, ``wk``, ``wv`` and ``wo`` have shape (D, heads, D_H), with
+    D = heads * D_H, so ``reshape(D, D)`` of each is a view: the
+    (D, heads*D_H) matrix of :func:`hot.model.attention_sublayer_v`, head h in
+    columns h*D_H to h*D_H + D_H.  ``wo[:, h]`` is head h's (D_H, D) output
+    map transposed.  :meth:`head` gives one head's four matrices.
     """
 
     wq: np.ndarray
@@ -51,28 +53,28 @@ class AttentionWeights:
     wo: np.ndarray
 
     def __post_init__(self):
-        r, d, dh = self.wq.shape
+        d, r, dh = self.wq.shape
         if d != r * dh:
             raise ValueError(f"model dim {d} must equal heads*head_dim {r}*{dh}")
-        for name, arr, shape in (
-            ("wk", self.wk, (r, d, dh)),
-            ("wv", self.wv, (r, d, dh)),
-            ("wo", self.wo, (r, dh, d)),
-        ):
-            if arr.shape != shape:
-                raise ValueError(f"{name} has shape {arr.shape}, expected {shape}")
+        for name, arr in (("wk", self.wk), ("wv", self.wv), ("wo", self.wo)):
+            if arr.shape != (d, r, dh):
+                raise ValueError(f"{name} has shape {arr.shape}, expected {(d, r, dh)}")
 
     @property
     def heads(self) -> int:
-        return self.wq.shape[0]
+        return self.wq.shape[1]
 
     @property
     def d_model(self) -> int:
-        return self.wq.shape[1]
+        return self.wq.shape[0]
 
     @property
     def d_head(self) -> int:
         return self.wq.shape[2]
+
+    def head(self, h: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Head ``h``'s (D, D_H) ``wq``, ``wk``, ``wv`` and (D_H, D) ``wo``, as views."""
+        return self.wq[:, h], self.wk[:, h], self.wv[:, h], self.wo[:, h].T
 
 
 def check_model_dims(d_model: int, heads: int) -> None:
@@ -84,7 +86,11 @@ def check_model_dims(d_model: int, heads: int) -> None:
 
 
 def random_attention_weights(d_model: int, heads: int, seed: int = 0) -> AttentionWeights:
-    """Glorot-uniform attention weights, deterministic in the seed."""
+    """Glorot-uniform attention weights, deterministic in the seed.
+
+    Drawn head by head, (heads, D, D_H) for Q, K, V and (heads, D_H, D) for
+    the output map, and stored in the fused layout of :class:`AttentionWeights`.
+    """
     check_model_dims(d_model, heads)
     d_head = d_model // heads
     rng = np.random.default_rng(seed)
@@ -93,12 +99,10 @@ def random_attention_weights(d_model: int, heads: int, seed: int = 0) -> Attenti
         limit = math.sqrt(6.0 / (shape[-2] + shape[-1]))
         return rng.uniform(-limit, limit, size=shape)
 
-    return AttentionWeights(
-        wq=glorot((heads, d_model, d_head)),
-        wk=glorot((heads, d_model, d_head)),
-        wv=glorot((heads, d_model, d_head)),
-        wo=glorot((heads, d_head, d_model)),
-    )
+    wq, wk, wv = (np.ascontiguousarray(glorot((heads, d_model, d_head)).transpose(1, 0, 2))
+                  for _ in range(3))
+    wo = np.ascontiguousarray(glorot((heads, d_head, d_model)).transpose(2, 0, 1))
+    return AttentionWeights(wq=wq, wk=wk, wv=wv, wo=wo)
 
 
 def softmax_rows(m: np.ndarray) -> np.ndarray:
@@ -126,11 +130,9 @@ def standard_attention(x: np.ndarray, w: AttentionWeights) -> np.ndarray:
     out = np.zeros_like(x)
     scale = 1.0 / math.sqrt(w.d_head)
     for h in range(w.heads):
-        q = x @ w.wq[h]
-        k = x @ w.wk[h]
-        v = x @ w.wv[h]
-        s = softmax_rows((q @ k.T) * scale)
-        out += (s @ v) @ w.wo[h]
+        wq, wk, wv, wo = w.head(h)
+        s = softmax_rows(((x @ wq) @ (x @ wk).T) * scale)
+        out += (s @ (x @ wv)) @ wo
     return out
 
 
@@ -191,9 +193,8 @@ def materialized_attention(x: np.ndarray, w: AttentionWeights,
     tokens = math.prod(x.shape[:-1])
     out = np.zeros_like(x)
     for h in range(w.heads):
-        q = x @ w.wq[h]
-        kt = x @ w.wk[h]
-        v = x @ w.wv[h]
+        wq, wk, wv, wo = w.head(h)
+        q, kt, v = x @ wq, x @ wk, x @ wv
         s = kron_chain(mode_attention_matrix(q, kt, i, pooling) for i in range(x.ndim - 1))
-        out += (s @ v.reshape(tokens, w.d_head)).reshape(v.shape) @ w.wo[h]
+        out += (s @ v.reshape(tokens, w.d_head)).reshape(v.shape) @ wo
     return out

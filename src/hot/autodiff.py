@@ -24,7 +24,7 @@ tracked side; ``exp`` and the softmaxes their output; ``power``, ``clip_min``
 and ``gelu`` their input (``gelu`` its CDF too); ``layer_norm_last`` the normalized rows, their
 inverse deviations and, for the input's adjoint, ``gamma``; ``rotate_pairs``
 its phases; the linear ops (``add``, ``sub``, ``scale``, ``reshape``,
-``transpose``, ``sum_axes``, ``concat_last``) shapes only.  So a forward value
+``transpose``, ``sum_axes``, ``concat``) shapes only.  So a forward value
 that no adjoint reads is freed as soon as the forward code drops its ``Var``.
 Off the tape, ``gelu``, ``layer_norm_last`` and ``affine`` finish in the
 buffer they have just allocated, since nothing reads it again.
@@ -539,18 +539,17 @@ def apply_along(s, t, axis: int, lead: int = 1) -> Var:
     return _node(value, tape, backward)
 
 
-def concat_last(xs) -> Var:
-    """Concatenate along the last axis; the adjoint slices gradients back."""
+def concat(xs, axis: int) -> Var:
+    """Concatenate along ``axis``; the adjoint splits gradients back into views."""
     tape, xs = _operands(*xs)
-    slots = [(x._slot, x.shape[-1]) for x in xs]
+    slots = [x._slot for x in xs]
+    offsets = np.cumsum([x.shape[axis] for x in xs[:-1]])
 
     def backward(g):
-        offset = 0
-        for slot, w in slots:
+        for slot, part in zip(slots, np.split(g, offsets, axis)):
             if slot is not None:
-                _accum(slot, g[..., offset:offset + w])
-            offset += w
-    return _node(np.concatenate([x.value for x in xs], axis=-1), tape, backward)
+                _accum(slot, part)
+    return _node(np.concatenate([x.value for x in xs], axis=axis), tape, backward)
 
 
 def softmax_last(a) -> Var:

@@ -31,6 +31,7 @@ import time
 import tracemalloc
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
@@ -197,7 +198,7 @@ class BenchConfig:
 
 @dataclass(frozen=True)
 class AblateConfig:
-    task: str = FORECAST
+    task: ClassVar[str] = FORECAST  # the only task ablate runs; not a config key
     t_len: int = 32
     n_series: int = 8
     horizon: int = 4
@@ -222,7 +223,6 @@ class AblateConfig:
     baseline_interaction_gain: float = 0.6
 
     def __post_init__(self):
-        _check(self.task == FORECAST, "task", f"be {FORECAST!r}, the only task ablate runs")
         _check_training(self)
         _check_seeds("seeds", self.seeds)
         _check(self.heads, "heads", "be a non-empty array")
@@ -384,8 +384,8 @@ def cmd_equiv(config: EquivConfig, out_dir: Path) -> int:
                 worst = max(worst, err)
 
                 # implied per-head attention matrix row sums
-                q = x @ w.wq[0]
-                kt = x @ w.wk[0]
+                wq, wk, _, _ = w.head(0)
+                q, kt = x @ wq, x @ wk
                 s = kron_chain(mode_attention_matrix(q, kt, i) for i in range(len(shape)))
                 row_err = float(np.abs(s.sum(axis=1) - 1.0).max())
                 add("row-stochastic", label, heads, seed, row_err, EQUIV_TOLERANCE)
@@ -468,7 +468,7 @@ def _op_cases(config: GradcheckConfig):
          {"t": t0, "g": 1.0 + 0.1 * rng.standard_normal(4), "b": 0.1 * rng.standard_normal(4)}),
         ("gelu", lambda v: _loss_of(ad.gelu(v["t"])), {"t": t0}),
         ("affine",
-         lambda v: _loss_of(ops.affine_v(v["t"], v["w"], v["b"])),
+         lambda v: _loss_of(ad.affine(v["t"], v["w"], v["b"])),
          {"t": t0, "w": rng.standard_normal((4, 6)), "b": rng.standard_normal(6)}),
         ("layer_norm_batched",
          lambda v: _loss_of(ops.layer_norm_v(v["t"], v["g"], v["b"])),
@@ -593,9 +593,8 @@ def _empirical_attention_matrix(dims, d_model, heads, seed):
     x = rng.standard_normal(tuple(dims) + (d_model,))
     w = random_attention_weights(d_model, heads, seed=seed + 1)
     flat = x.reshape(-1, d_model)
-    q = flat @ w.wq[0]
-    k = flat @ w.wk[0]
-    return softmax_rows(q @ k.T / math.sqrt(w.d_head))
+    wq, wk, _, _ = w.head(0)
+    return mode_attention_matrix(flat @ wq, flat @ wk, 0)
 
 
 def cmd_kronrank(config: KronrankConfig, out_dir: Path) -> int:
@@ -885,6 +884,7 @@ def main(argv=None) -> int:
         overrides["seed"] = args.seed
         overrides["seeds"] = [args.seed]
         overrides["task_seed"] = args.seed
+        overrides["baseline_seeds"] = [args.seed]
 
     try:
         config = load_config(args.command, args.config, overrides)

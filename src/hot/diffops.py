@@ -1,7 +1,7 @@
 """Differentiable composites of the tape primitives.
 
-The model's building blocks (mode application, pooling, affine maps, layer
-norm, random features, kernelized attention and losses), expressed over
+The model's building blocks (mode application, pooling, layer norm, random
+features, kernelized attention and losses), expressed over
 :class:`~hot.autodiff.Var` so the tape provides exact adjoints.  These carry a
 leading batch axis where noted; the feature-map projection matrix is treated
 as a constant (no gradient flows into the random draw).
@@ -29,11 +29,6 @@ def sum_except_v(t: Var, keep_axes) -> Var:
     keep = sorted(ax % t.value.ndim for ax in keep_axes)
     drop = tuple(ax for ax in range(t.value.ndim) if ax not in keep)
     return ad.sum_axes(t, drop) if drop else t
-
-
-def affine_v(x: Var, w: Var, b: Var | None = None) -> Var:
-    """Affine map along the hidden (last) axis: x @ w + b."""
-    return ad.matmul(x, w) if b is None else ad.affine(x, w, b)
 
 
 def layer_norm_v(x: Var, gamma: Var, beta: Var, eps: float = 1e-5) -> Var:

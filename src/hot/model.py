@@ -360,16 +360,19 @@ def attention_sublayer_v(x: Var, cfg: HOTBlockConfig, rotary: RotaryConfig,
     """One multihead attention sublayer on (B, N_0, ..., N_{k-1}, D) input.
 
     ``wq``, ``wk``, ``wv`` and ``wo`` are (D, H*E), head h in columns h*E to
-    h*E + E; ``wo`` holds the heads' (E, D) output maps transposed.  Heads are
+    h*E + E; ``wo`` holds the heads' (E, D) output maps transposed.  That keeps
+    trained numbers: an (H*E, D) ``wo`` rounds the output projection
+    differently, and 500 train steps grow those last bits into the third
+    decimal of the loss, enough to reorder the mask ablation.  Heads are
     stacked into one leading axis so projections, pooling, gate construction
     and mode application each run as a single broadcast matmul.  The full
     variants run the same mode loop over one mode that holds every token.
     """
     omega = projection_matrix(cfg.feature_spec) if cfg.feature_spec is not None else None
     heads, d_head = cfg.heads, cfg.d_head
-    q = _split_heads(ops.affine_v(x, wq), heads, d_head)  # (B, H, tokens..., E)
-    kt = _split_heads(ops.affine_v(x, wk), heads, d_head)
-    p = _split_heads(ops.affine_v(x, wv), heads, d_head)
+    q = _split_heads(ad.matmul(x, wq), heads, d_head)  # (B, H, tokens..., E)
+    kt = _split_heads(ad.matmul(x, wk), heads, d_head)
+    p = _split_heads(ad.matmul(x, wv), heads, d_head)
     q = _rotary_v(q, rotary, cfg.dims, lead=2)
     kt = _rotary_v(kt, rotary, cfg.dims, lead=2)
 
@@ -398,19 +401,19 @@ def attention_sublayer(x: np.ndarray, w: AttentionWeights, variant: str,
 
     Constant weights, no rotary phases and no tape: the forward that
     ``hot bench`` times and that tests and ``hot equiv`` hold to the oracles
-    of :mod:`hot.attention`.
+    of :mod:`hot.attention`.  ``w`` already holds the fused layout, so its
+    four arrays are passed as (D, D) views, not copies.
     """
     x = as_tensor(x)
     cfg = HOTBlockConfig(dims=x.shape[:-1], d_model=w.d_model, heads=w.heads, variant=variant,
                          mode_mask=tuple(mask), feature_spec=spec, pooling=pooling)
-    fused = [ad.constant(m.transpose(1, 0, 2).reshape(w.d_model, -1))
-             for m in (w.wq, w.wk, w.wv, w.wo.transpose(0, 2, 1))]
+    fused = [ad.constant(m.reshape(w.d_model, -1)) for m in (w.wq, w.wk, w.wv, w.wo)]
     return attention_sublayer_v(ad.constant(x[None]), cfg, RotaryConfig(), *fused).value[0]
 
 
 def ffn_v(x: Var, params: dict[str, Var], prefix: str) -> Var:
-    hidden = ad.gelu(ops.affine_v(x, params[f"{prefix}.w1"], params[f"{prefix}.b1"]))
-    return ops.affine_v(hidden, params[f"{prefix}.w2"], params[f"{prefix}.b2"])
+    hidden = ad.gelu(ad.affine(x, params[f"{prefix}.w1"], params[f"{prefix}.b1"]))
+    return ad.affine(hidden, params[f"{prefix}.w2"], params[f"{prefix}.b2"])
 
 
 def block_forward_v(x: Var, cfg: HOTBlockConfig, rotary: RotaryConfig,
@@ -419,8 +422,8 @@ def block_forward_v(x: Var, cfg: HOTBlockConfig, rotary: RotaryConfig,
     ln1 = lambda v: ops.layer_norm_v(v, params[f"{prefix}.ln1.gamma"], params[f"{prefix}.ln1.beta"], cfg.ln_eps)
     ln2 = lambda v: ops.layer_norm_v(v, params[f"{prefix}.ln2.gamma"], params[f"{prefix}.ln2.beta"], cfg.ln_eps)
     heads = [f"{prefix}.attn.h{h}" for h in range(cfg.heads)]
-    w = [ad.concat_last([params[f"{h}.{name}"] for h in heads]) for name in ("wq", "wk", "wv")]
-    w.append(ad.concat_last([ad.transpose(params[f"{h}.wo"], (1, 0)) for h in heads]))
+    w = [ad.concat([params[f"{h}.{name}"] for h in heads], 1) for name in ("wq", "wk", "wv")]
+    w.append(ad.transpose(ad.concat([params[f"{h}.wo"] for h in heads], 0), (1, 0)))
     if cfg.norm_placement == "post":
         y1 = ln1(ad.add(x, attention_sublayer_v(x, cfg, rotary, *w)))
         return ln2(ad.add(y1, ffn_v(y1, params, f"{prefix}.ffn")))
@@ -470,7 +473,7 @@ class HOTModel:
             params = {k: ad.constant(v) for k, v in self.params.items()}
 
         tokens = ad.constant(patchify(x_raw, cfg.patch.patch_sizes))
-        x = ops.affine_v(tokens, params["patch.w"], params["patch.b"])
+        x = ad.affine(tokens, params["patch.w"], params["patch.b"])
         for b in range(cfg.num_blocks):
             x = block_forward_v(x, cfg.block, cfg.rotary, params, f"block{b}")
 
@@ -481,7 +484,7 @@ class HOTModel:
             )
         else:
             pooled = ad.reshape(x, (x.shape[0], math.prod(cfg.token_dims) * cfg.block.d_model))
-        out = ops.affine_v(pooled, params["head.w"], params["head.b"])
+        out = ad.affine(pooled, params["head.w"], params["head.b"])
         if cfg.head.task == "forecast":
             out = ad.reshape(out, (x_raw.shape[0], cfg.head.horizon, cfg.head.n_series))
         return out

@@ -46,7 +46,8 @@ def materialized_sublayer(x, w, variant, spec=None, mask=(), pooling="sum"):
     pool = {"sum": pool_sum_except, "mean": pool_mean_except}[pooling]
     out = np.zeros_like(x)
     for h in range(w.heads):
-        q, k, v = (x @ m[h] for m in (w.wq, w.wk, w.wv))
+        wq, wk, wv, wo = w.head(h)
+        q, k, v = x @ wq, x @ wk, x @ wv
         if variant == "full-linear":
             s = kernel_gate(q.reshape(tokens, -1), k.reshape(tokens, -1), spec, omega)[0]
         else:
@@ -59,5 +60,5 @@ def materialized_sublayer(x, w, variant, spec=None, mask=(), pooling="sum"):
                 else:
                     gates.append(kernel_gate(pool(q, i), pool(k, i), spec, omega)[0])
             s = kron_chain(gates)
-        out += (s @ v.reshape(tokens, -1)).reshape(v.shape) @ w.wo[h]
+        out += (s @ v.reshape(tokens, -1)).reshape(v.shape) @ wo
     return out

@@ -103,16 +103,17 @@ class TestCriterion04RowStochasticity:
         for seed in range(5):
             x = rng.standard_normal((3, 4, 8))
             w = random_attention_weights(8, 2, seed=seed)
-            q = x @ w.wq[0]
-            kt = x @ w.wk[0]
+            wq, wk, _, _ = w.head(0)
+            q = x @ wq
+            kt = x @ wk
             s = kron_chain(mode_attention_matrix(q, kt, i) for i in range(2))
             worst_soft = max(worst_soft, float(np.abs(s.sum(axis=1) - 1.0).max()))
 
             spec = FeatureMapSpec(32, 4, seed=seed)
             omega = projection_matrix(spec)
             scale = 4 ** -0.25
-            qt = x.sum(axis=1) @ w.wq[0]
-            ktp = x.sum(axis=1) @ w.wk[0]
+            qt = x.sum(axis=1) @ wq
+            ktp = x.sum(axis=1) @ wk
             qp = phi(qt * scale, spec, omega)
             kp = phi(ktp * scale, spec, omega)
             sk = (qp @ kp.T) / (qp @ kp.sum(axis=0))[:, None]

@@ -45,15 +45,16 @@ def standard_attention_by_loops(x, w):
     n, d = x.shape
     out = np.zeros((n, d))
     for h in range(w.heads):
-        q = np.array([[x[i] @ w.wq[h][:, e] for e in range(w.d_head)] for i in range(n)])
-        k = np.array([[x[i] @ w.wk[h][:, e] for e in range(w.d_head)] for i in range(n)])
-        v = np.array([[x[i] @ w.wv[h][:, e] for e in range(w.d_head)] for i in range(n)])
+        wq, wk, wv, wo = w.head(h)
+        q = np.array([[x[i] @ wq[:, e] for e in range(w.d_head)] for i in range(n)])
+        k = np.array([[x[i] @ wk[:, e] for e in range(w.d_head)] for i in range(n)])
+        v = np.array([[x[i] @ wv[:, e] for e in range(w.d_head)] for i in range(n)])
         for i in range(n):
             logits = np.array([q[i] @ k[j] for j in range(n)]) / math.sqrt(w.d_head)
             weights = np.exp(logits - logits.max())
             weights /= weights.sum()
             attended = sum(weights[j] * v[j] for j in range(n))
-            out[i] += attended @ w.wo[h]
+            out[i] += attended @ wo
     return out
 
 
@@ -93,7 +94,7 @@ class TestStandardAttention:
         rng = np.random.default_rng(2)
         w = random_attention_weights(6, 2, seed=0)
         x = rng.standard_normal((1, 6))
-        expected = sum(x @ w.wv[h] @ w.wo[h] for h in range(2))
+        expected = sum(x @ w.head(h)[2] @ w.head(h)[3] for h in range(2))
         assert np.abs(standard_attention(x, w) - expected).max() <= 1e-12
 
     def test_identical_rows_give_identical_rows(self):
@@ -210,8 +211,9 @@ class TestFactorizedSoftmax:
         rng = np.random.default_rng(14)
         w = random_attention_weights(4, 1, seed=10)
         x = rng.standard_normal((3, 4, 4))
-        q = x @ w.wq[0]
-        kt = x @ w.wk[0]
+        wq, wk, _, _ = w.head(0)
+        q = x @ wq
+        kt = x @ wk
         s = kron_chain(mode_attention_matrix(q, kt, i) for i in range(2))
         assert np.abs(s.sum(axis=1) - 1.0).max() <= 1e-10
 
@@ -232,11 +234,12 @@ class TestFactorizedSoftmax:
         # with only mode 1 enabled, the implied matrix is I (x) S1
         ref = np.zeros_like(x)
         for h in range(w.heads):
-            q = x @ w.wq[h]
-            kt = x @ w.wk[h]
-            v = x @ w.wv[h]
+            wq, wk, wv, wo = w.head(h)
+            q = x @ wq
+            kt = x @ wk
+            v = x @ wv
             s1 = mode_attention_matrix(q, kt, 1)
-            ref += mode_product(v, s1, 1) @ w.wo[h]
+            ref += mode_product(v, s1, 1) @ wo
         assert np.abs(out - ref).max() <= 1e-12
 
     def test_no_modes_is_value_projection_only(self):
@@ -244,7 +247,7 @@ class TestFactorizedSoftmax:
         w = random_attention_weights(4, 2, seed=13)
         x = rng.standard_normal((3, 4, 4))
         out = attention_sublayer(x, w, "factored-softmax", mask=(False, False))
-        ref = sum(x @ w.wv[h] @ w.wo[h] for h in range(w.heads))
+        ref = sum(x @ w.head(h)[2] @ w.head(h)[3] for h in range(w.heads))
         assert np.abs(out - ref).max() <= 1e-12
 
 
@@ -401,19 +404,33 @@ class TestFullLinear:
         omega = projection_matrix(spec)
         ref = np.zeros_like(x)
         for h in range(w.heads):
-            q, k, v = ((x @ m[h]).reshape(12, 4) for m in (w.wq, w.wk, w.wv))
-            ref += (kernel_gate(q, k, spec, omega)[0] @ v).reshape(3, 4, 4) @ w.wo[h]
+            wq, wk, wv, wo = w.head(h)
+            q, k, v = ((x @ m).reshape(12, 4) for m in (wq, wk, wv))
+            ref += (kernel_gate(q, k, spec, omega)[0] @ v).reshape(3, 4, 4) @ wo
         out = attention_sublayer(x, w, "full-linear", spec)
         assert np.abs(out - ref).max() <= 1e-12
 
 
 class TestWeights:
+    # D = 6, 2 heads of 3: each matrix is (D, H, E)
+    SHAPES = {name: (6, 2, 3) for name in ("wq", "wk", "wv", "wo")}
+
     def test_dims_validated(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="model dim"):
             AttentionWeights(
-                wq=np.zeros((2, 5, 2)), wk=np.zeros((2, 5, 2)),
-                wv=np.zeros((2, 5, 2)), wo=np.zeros((2, 2, 5)),
+                wq=np.zeros((5, 2, 2)), wk=np.zeros((5, 2, 2)),
+                wv=np.zeros((5, 2, 2)), wo=np.zeros((5, 2, 2)),
             )
+
+    @pytest.mark.parametrize("name,shape", [
+        ("wk", (6, 3, 2)), ("wv", (2, 6, 3)), ("wo", (2, 3, 6)), ("wo", (6, 6)),
+    ])
+    def test_mismatched_shapes_rejected(self, name, shape):
+        arrays = {k: np.zeros(s) for k, s in self.SHAPES.items()}
+        AttentionWeights(**arrays)
+        arrays[name] = np.zeros(shape)
+        with pytest.raises(ValueError, match=name):
+            AttentionWeights(**arrays)
 
     def test_heads_must_divide_model_dim(self):
         with pytest.raises(ValueError):
@@ -422,6 +439,30 @@ class TestWeights:
     def test_parameter_shapes(self):
         w = random_attention_weights(8, 4, seed=20)
         assert w.heads == 4 and w.d_model == 8 and w.d_head == 2
+        assert w.wq.shape == w.wk.shape == w.wv.shape == w.wo.shape == (8, 4, 2)
+        assert all(np.shares_memory(m.reshape(8, 8), m) for m in (w.wq, w.wk, w.wv, w.wo))
+
+    def test_random_weights_keep_their_per_head_draws(self):
+        d, heads, e = 8, 4, 2
+        rng = np.random.default_rng(20)
+
+        def glorot(shape):
+            limit = math.sqrt(6.0 / (shape[-2] + shape[-1]))
+            return rng.uniform(-limit, limit, size=shape)
+
+        draws = [glorot((heads, d, e)) for _ in range(3)] + [glorot((heads, e, d))]
+        w = random_attention_weights(d, heads, seed=20)
+        for h in range(heads):
+            for got, drawn in zip(w.head(h), draws):
+                assert np.array_equal(got, drawn[h])
+
+    def test_head_is_a_view_of_the_fused_columns(self):
+        w = random_attention_weights(8, 4, seed=20)
+        wq, wk, wv, wo = w.head(2)
+        assert np.array_equal(wq, w.wq.reshape(8, 8)[:, 4:6])
+        assert np.array_equal(wo, w.wo.reshape(8, 8)[:, 4:6].T)
+        assert all(np.shares_memory(m, full) for m, full in zip((wq, wk, wv, wo),
+                                                               (w.wq, w.wk, w.wv, w.wo)))
 
 
 class TestExports:

@@ -377,7 +377,8 @@ _PRIMITIVES = [
     ("matmul", ad.matmul, [(2, 3, 4), (4, 5)]),
     ("affine", ad.affine, [(2, 3, 4), (4, 5), (5,)]),
     ("apply_along", lambda s, t: ad.apply_along(s, t, 1), [(2, 5, 3), (2, 3, 4)]),
-    ("concat_last", lambda *xs: ad.concat_last(xs), [(3, 2), (3, 4), (3, 1)]),
+    ("concat_axis0", lambda *xs: ad.concat(xs, 0), [(2, 3), (4, 3), (1, 3)]),
+    ("concat_axis1", lambda *xs: ad.concat(xs, 1), [(3, 2), (3, 4), (3, 1)]),
     ("softmax_last", ad.softmax_last, [(3, 4)]),
     ("log_softmax_last", ad.log_softmax_last, [(3, 4)]),
 ]
@@ -446,19 +447,20 @@ class TestNodeContract:
         tape.backward(loss)
         assert all(ref() is None for ref in values.values())
 
-    def test_concat_last_grads_reach_only_tracked_inputs(self):
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_concat_grads_reach_only_tracked_inputs(self, axis):
         rng = np.random.default_rng(22)
-        parts = [rng.standard_normal((2, 3, w)) for w in (2, 4, 1, 3)]
-        w = rng.standard_normal((2, 3, 10))
+        parts = [rng.standard_normal((w, 3) if axis == 0 else (3, w)) for w in (2, 4, 1, 3)]
+        w = rng.standard_normal((10, 3) if axis == 0 else (3, 10))
         tape = Tape()
         xs = [tape.var(parts[0].copy()), ad.constant(parts[1]), tape.var(parts[2].copy()),
               parts[3]]
-        y = ad.concat_last(xs)
+        y = ad.concat(xs, axis)
         tape.backward(ad.sum_axes(ad.mul(ad.mul(y, y), ad.constant(w))))
         assert xs[1].grad is None
         for i in (0, 2):
             def f(v, i=i):
-                c = np.concatenate(parts[:i] + [v] + parts[i + 1:], axis=-1)
+                c = np.concatenate(parts[:i] + [v] + parts[i + 1:], axis=axis)
                 return float((c * c * w).sum())
 
             num = numeric_grad(f, parts[i].copy())
@@ -568,14 +570,15 @@ class TestGradOwnership:
     @pytest.mark.parametrize("build", [
         lambda a, b: ad.add(a, b),
         lambda a, b: ad.sub(a, b),
-        lambda a, b: ad.concat_last([a, b]),
+        lambda a, b: ad.concat([a, b], 0),
+        lambda a, b: ad.concat([a, b], 1),
         lambda a, b: ad.add(ad.add(a, b), ad.reshape(ad.transpose(a, (1, 0)), (3, 4))),
         # a's only adjoint is a read-only broadcast_to view of sum_axes
         lambda a, b: ad.add(ad.sum_axes(a, 1, keepdims=True), b),
         lambda a, b: ad.add(ad.add(a, a), b),
         # a bias the shape of the output gets a view of the adjoint, as add does
         lambda a, b: ad.add(ad.affine(a, np.eye(4), b), b),
-    ], ids=["add", "sub", "concat_last", "reshape_transpose", "sum_axes", "add_same_leaf",
+    ], ids=["add", "sub", "concat_axis0", "concat_axis1", "reshape_transpose", "sum_axes", "add_same_leaf",
             "affine_full_bias"])
     def test_leaf_grads_share_no_memory(self, build):
         rng = np.random.default_rng(17)

@@ -41,6 +41,19 @@ class TestConfig:
         cfg = load_config("equiv", None, {"seeds": [42]})
         assert cfg.seeds == (42,)
 
+    def test_ablate_seed_flag_also_sets_the_baseline_seeds(self, tmp_path, monkeypatch):
+        seen = []
+        monkeypatch.setitem(hot.cli.COMMANDS, "ablate", lambda config, out: seen.append(config))
+        run_cli(["ablate", "--seed", "3", "--out", str(tmp_path / "o")])
+        assert seen[0].seeds == (3,) and seen[0].baseline_seeds == (3,)
+
+    def test_ablate_task_is_not_a_key(self, tmp_path, capsys):
+        cfg = tmp_path / "task.json"
+        cfg.write_text(json.dumps({"task": "separable-spatiotemporal-forecast", "n_train": 8,
+                                   "n_val": 4, "seeds": [0], "baseline_seeds": [0], "steps": 1}))
+        assert run_cli(["ablate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "unknown keys ['task']" in capsys.readouterr().err
+
     def test_defaults_complete(self):
         for command in ("equiv", "gradcheck", "kronrank", "bench", "ablate", "train"):
             cfg = load_config(command, None, {})

@@ -178,11 +178,11 @@ class TestBlock:
         assert np.isfinite(out_tokens.value).all()
 
         # reference: token path is LN(LN(tokens)) when both sublayers are zero
-        from hot.diffops import affine_v, layer_norm_v
+        from hot.diffops import layer_norm_v
 
         tokens = ad.constant(patchify(x, (1, 1)))
-        h = affine_v(tokens, ad.constant(model.params["patch.w"]),
-                     ad.constant(model.params["patch.b"]))
+        h = ad.affine(tokens, ad.constant(model.params["patch.w"]),
+                      ad.constant(model.params["patch.b"]))
         g1 = ad.constant(model.params["block0.ln1.gamma"])
         b1 = ad.constant(model.params["block0.ln1.beta"])
         ln = layer_norm_v(layer_norm_v(h, g1, b1), g1, b1).value
@@ -205,11 +205,11 @@ class TestBlock:
         out = model.predict(x)
 
         # independent reference: attention reduces to sum_h x @ wv_h @ wo_h
-        from hot.diffops import affine_v, layer_norm_v
+        from hot.diffops import layer_norm_v
 
         p = model.params
         tokens = ad.constant(patchify(x, (1, 1)))
-        h = affine_v(tokens, ad.constant(p["patch.w"]), ad.constant(p["patch.b"])).value
+        h = ad.affine(tokens, ad.constant(p["patch.w"]), ad.constant(p["patch.b"])).value
         attn = sum(h @ p[f"block0.attn.h{i}.wv"] @ p[f"block0.attn.h{i}.wo"] for i in range(2))
         y1 = layer_norm_v(ad.constant(h + attn), ad.constant(p["block0.ln1.gamma"]),
                           ad.constant(p["block0.ln1.beta"])).value
@@ -276,8 +276,8 @@ def test_block_fuses_head_weights_as_attention_sublayer_does(monkeypatch):
     w = random_attention_weights(8, 2, seed=40)
     model = HOTModel.initialize(small_config(), seed=0)
     for h in range(w.heads):
-        for name in ("wq", "wk", "wv", "wo"):
-            model.params[f"block0.attn.h{h}.{name}"] = getattr(w, name)[h]
+        for name, value in zip(("wq", "wk", "wv", "wo"), w.head(h)):
+            model.params[f"block0.attn.h{h}.{name}"] = value
     seen = []
     sublayer_v = hot.model.attention_sublayer_v
 
@@ -293,9 +293,28 @@ def test_block_fuses_head_weights_as_attention_sublayer_does(monkeypatch):
     for fused_block, fused_sublayer in zip(block, sublayer, strict=True):
         assert fused_block.shape == (w.d_model, w.heads * w.d_head)
         assert np.array_equal(fused_block, fused_sublayer)
-    wq, wo = sublayer[0], sublayer[3]
-    assert np.array_equal(wq[:, w.d_head:], w.wq[1])  # head 1's columns
-    assert np.array_equal(wo[:, w.d_head:], w.wo[1].T)
+    e = w.d_head
+    for h in range(w.heads):
+        wq, wk, wv, wo = w.head(h)
+        for fused, columns in zip(sublayer, (wq, wk, wv, wo.T), strict=True):
+            assert np.array_equal(fused[:, h * e:(h + 1) * e], columns)  # head h's columns
+
+
+def test_attention_sublayer_copies_no_weight(monkeypatch):
+    """``attention_sublayer`` hands ``attention_sublayer_v`` views of ``w``'s arrays."""
+    w = random_attention_weights(8, 2, seed=42)
+    seen = []
+    sublayer_v = hot.model.attention_sublayer_v
+
+    def capture(x, cfg, rotary, *weights):
+        seen.extend(v.value for v in weights)
+        return sublayer_v(x, cfg, rotary, *weights)
+
+    monkeypatch.setattr(hot.model, "attention_sublayer_v", capture)
+    attention_sublayer(np.random.default_rng(43).standard_normal((4, 5, 8)), w,
+                       "factored-softmax")
+    for passed, stored in zip(seen, (w.wq, w.wk, w.wv, w.wo), strict=True):
+        assert np.shares_memory(passed, stored)
 
 
 class TestModelForward:
