@@ -4,11 +4,11 @@ oracles, random features, reverse-mode gradients, and benchmark tooling.
 The attention variants that train and predict are the model's sublayer,
 :func:`hot.model.attention_sublayer_v`: one loop over token modes, in which the
 full variants are one flattened mode holding every token, so a mask that turns
-a mode off is refused for them."""
+a mode off is refused for them.  Their one oracle, :func:`materialized_attention`,
+takes the sublayer's arguments and builds each head's token x token matrix."""
 
 from .attention import (
     AttentionWeights,
-    full_high_order_attention,
     materialized_attention,
     mode_attention_matrix,
     random_attention_weights,
@@ -33,7 +33,6 @@ __all__ = [
     "FeatureMapSpec",
     "KronFactors",
     "KronSum",
-    "full_high_order_attention",
     "kron_decompose",
     "kron_rank_bound",
     "materialize",

@@ -4,14 +4,12 @@ Inputs are tensors of shape ``(N_0, ..., N_{k-1}, D)``: k positional modes and
 one hidden mode.  The four attention variants that train and predict live in
 one place, :func:`hot.model.attention_sublayer_v`: one loop over modes, where
 the full variants are a single mode holding every token (so they take no mask
-that turns a mode off).  This module holds the exact references they are
-checked against:
-
-* ``full_high_order_attention``  exact softmax over flattened tokens; the
-                                 quadratic oracle, refused above a size cap.
-* ``materialized_attention``     the Kronecker product of the per-mode softmax
-                                 matrices built explicitly; the oracle for the
-                                 factored softmax variant.
+that turns a mode off).  :func:`materialized_attention` is the one exact
+reference for all four: it takes the sublayer's arguments and builds each
+head's token x token matrix explicitly, as the Kronecker product of one gate
+per mode (:func:`mode_attention_matrix` or :func:`kernel_gate`) or as one gate
+over all tokens.  At one positional mode every variant reduces to
+:func:`standard_attention` (the kernelized ones in expectation).
 
 Per-mode attention matrices are built from query/key tensors pooled down to
 one mode (sum or mean over the other positional modes).  Heads are
@@ -25,15 +23,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .features import FeatureMapSpec, projection_matrix
 from .kron import kron_chain
 from .tensor import as_tensor, pool_mean_except, pool_sum_except
 
-DEFAULT_ORACLE_CAP = 4096
+VARIANTS = ("full-softmax", "full-linear", "factored-softmax", "factored-linear")
 EPS_Z = 1e-6  # floor of the kernel row sums in diffops.kernelized_mode_apply_v
-
-
-class OracleSizeError(ValueError):
-    """Raised when the quadratic oracle is asked to attend over too many tokens."""
 
 
 @dataclass(frozen=True)
@@ -161,40 +156,47 @@ def mode_attention_matrix(q: np.ndarray, k: np.ndarray, mode: int,
     return softmax_rows((qt @ kt.T) / math.sqrt(q.shape[-1]))
 
 
-def full_high_order_attention(x: np.ndarray, w: AttentionWeights,
-                              oracle_cap: int = DEFAULT_ORACLE_CAP) -> np.ndarray:
-    """Exact attention over all positions jointly: flatten, attend, refold.
+def kernel_gate(qt: np.ndarray, kt: np.ndarray, spec: FeatureMapSpec,
+                omega: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The N x N kernelized gate ``Z^-1 phi(qt) phi(kt)^T`` of rows ``qt``, ``kt`` (N, E).
 
-    Every positional index is one token, so cost is quadratic in
-    ``prod(N_i)``.  The oracle for the full softmax variant; refuses token
-    counts above ``oracle_cap``.
+    phi is :mod:`hot.features`'s map of the rows scaled by E**-0.25.  Returns the gate, with Z
+    floored at ``EPS_Z`` as in :func:`hot.diffops.kernelized_mode_apply_v`, and unfloored Z.
     """
-    x = _check_input(x, w)
-    tokens = math.prod(x.shape[:-1])
-    if tokens > oracle_cap:
-        raise OracleSizeError(
-            f"{tokens} tokens exceed the oracle cap {oracle_cap}; "
-            "raise the cap explicitly to run the quadratic reference anyway"
-        )
-    flat = x.reshape(tokens, x.shape[-1])
-    return standard_attention(flat, w).reshape(x.shape)
+    omega = projection_matrix(spec) if omega is None else omega
+    t = np.stack([qt, kt]) * qt.shape[-1] ** -0.25
+    qp, kp = np.exp(t @ omega.T - 0.5 * (t * t).sum(-1, keepdims=True)) / math.sqrt(len(omega))
+    z = qp @ kp.sum(axis=0)
+    return (qp @ kp.T) / np.maximum(z, EPS_Z)[:, None], z
 
 
-def materialized_attention(x: np.ndarray, w: AttentionWeights,
+def materialized_attention(x: np.ndarray, w: AttentionWeights, variant: str = "factored-softmax",
+                           spec: FeatureMapSpec | None = None, mask: tuple[bool, ...] = (),
                            pooling: str = "sum") -> np.ndarray:
-    """Kronecker-factorized softmax attention with the implied matrix materialized.
+    """What :func:`hot.model.attention_sublayer` computes, each head's matrix built explicitly.
 
-    Per head, builds ``S_0 (x) ... (x) S_{k-1}`` from the per-mode matrices of
-    :func:`mode_attention_matrix` and applies it to the flattened values.  The
-    oracle for the factored softmax variant; memory is quadratic in
-    ``prod(N_i)``.
+    Per head, the Kronecker product of one gate per mode (:func:`mode_attention_matrix`,
+    :func:`kernel_gate` of the pooled rows, or the identity where ``mask`` turns the mode
+    off) is applied to the flattened values; a full variant has one gate over all tokens.
     """
     x = _check_input(x, w)
+    if variant not in VARIANTS or (variant.startswith("full") and not all(mask)):
+        raise ValueError(f"variant must be one of {VARIANTS}; a full one cannot turn a mode off")
     tokens = math.prod(x.shape[:-1])
+    dims = (tokens,) if variant.startswith("full") else x.shape[:-1]
+    omega = projection_matrix(spec) if variant.endswith("linear") else None
     out = np.zeros_like(x)
     for h in range(w.heads):
         wq, wk, wv, wo = w.head(h)
-        q, kt, v = x @ wq, x @ wk, x @ wv
-        s = kron_chain(mode_attention_matrix(q, kt, i, pooling) for i in range(x.ndim - 1))
-        out += (s @ v.reshape(tokens, w.d_head)).reshape(v.shape) @ wo
+        q, k = ((x @ m).reshape(dims + (-1,)) for m in (wq, wk))
+        gates = []
+        for i, n in enumerate(dims):
+            if mask and not mask[i]:
+                gates.append(np.eye(n))
+            elif omega is None:
+                gates.append(mode_attention_matrix(q, k, i, pooling))
+            else:
+                gates.append(kernel_gate(_pool(q, i, pooling), _pool(k, i, pooling), spec, omega)[0])
+        v = x @ wv
+        out += (kron_chain(gates) @ v.reshape(tokens, -1)).reshape(v.shape) @ wo
     return out

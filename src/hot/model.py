@@ -35,13 +35,13 @@ import numpy as np
 
 from . import autodiff as ad
 from . import diffops as ops
-from .attention import DEFAULT_ORACLE_CAP, AttentionWeights, check_model_dims
+from .attention import VARIANTS, AttentionWeights, check_model_dims
 from .autodiff import Var
 from .features import FeatureMapSpec, projection_matrix
 from .io import TensorFileError, read_tensor, write_tensor
 from .tensor import as_tensor
 
-VARIANTS = ("full-softmax", "full-linear", "factored-softmax", "factored-linear")
+FULL_SOFTMAX_MAX_TOKENS = 4096
 # Token rows per forward in HOTModel.predict.  An off-tape forward over 8192
 # rows holds less than a taped train step over 4096 (batch 64 at 8x8 tokens,
 # or batch 8 at 8^3), so at those configurations evaluation does not set a
@@ -94,9 +94,9 @@ class HOTBlockConfig:
             raise ValueError("norm_placement must be 'post' or 'pre'")
         if self.pooling not in ("sum", "mean"):
             raise ValueError("pooling must be 'sum' or 'mean'")
-        if self.variant == "full-softmax" and math.prod(self.dims) > DEFAULT_ORACLE_CAP:
-            raise ValueError(f"full-softmax over {math.prod(self.dims)} tokens exceeds the cap "
-                             f"of {DEFAULT_ORACLE_CAP}; its score matrix is quadratic in tokens")
+        if self.variant == "full-softmax" and math.prod(self.dims) > FULL_SOFTMAX_MAX_TOKENS:
+            raise ValueError(f"full-softmax over {math.prod(self.dims)} tokens exceeds the cap of "
+                             f"{FULL_SOFTMAX_MAX_TOKENS}; its score matrix is quadratic in tokens")
         if "linear" in self.variant and self.feature_spec is None:
             raise ValueError(f"variant {self.variant} needs a feature_spec")
         if self.feature_spec is not None and self.feature_spec.input_dim != self.d_head:

@@ -19,10 +19,9 @@ from hot import diffops as ops
 from hot.attention import (
     EPS_Z,
     AttentionWeights,
-    full_high_order_attention,
+    kernel_gate,
     materialized_attention,
     mode_attention_matrix,
-    OracleSizeError,
     random_attention_weights,
     softmax_rows,
     standard_attention,
@@ -31,7 +30,7 @@ from hot.features import FeatureMapSpec, projection_matrix
 from hot.kron import kron_chain
 from hot.model import attention_sublayer
 from hot.tensor import mode_product, pool_sum_except
-from oracles import kernel_gate, phi
+from oracles import phi
 
 
 def kernelized_apply(v, qt, kt, axis, spec):
@@ -155,29 +154,30 @@ class TestFullHighOrderAttention:
         rng = np.random.default_rng(8)
         w = random_attention_weights(6, 3, seed=3)
         x = rng.standard_normal((5, 6))
-        assert np.abs(full_high_order_attention(x, w) - standard_attention(x, w)).max() <= 1e-15
+        out = materialized_attention(x, w, "full-softmax")
+        assert np.abs(out - standard_attention(x, w)).max() <= 1e-15
 
     def test_matches_flattening_reference(self):
         rng = np.random.default_rng(9)
         w = random_attention_weights(4, 2, seed=4)
         x = rng.standard_normal((2, 2, 4))
         expected = standard_attention_by_loops(x.reshape(4, 4), w).reshape(2, 2, 4)
-        assert np.abs(full_high_order_attention(x, w) - expected).max() <= 1e-12
+        assert np.abs(materialized_attention(x, w, "full-softmax") - expected).max() <= 1e-12
 
     def test_shape_preserved(self):
         rng = np.random.default_rng(10)
         w = random_attention_weights(8, 2, seed=5)
         x = rng.standard_normal((2, 3, 4, 8))
-        assert full_high_order_attention(x, w).shape == x.shape
+        assert materialized_attention(x, w, "full-softmax").shape == x.shape
 
-    def test_refuses_above_cap(self):
+    @pytest.mark.parametrize("fn", [attention_sublayer, materialized_attention])
+    def test_refuses_unknown_variant_and_masked_full_variant(self, fn):
         w = random_attention_weights(4, 2, seed=6)
-        x = np.zeros((70, 70, 4))
-        with pytest.raises(OracleSizeError):
-            full_high_order_attention(x, w)
-        # explicit override allows it
-        x_small = np.zeros((3, 3, 4))
-        full_high_order_attention(x_small, w, oracle_cap=9)
+        x = np.zeros((2, 3, 4))
+        with pytest.raises(ValueError, match="variant must be one of"):
+            fn(x, w, "full")
+        with pytest.raises(ValueError, match="cannot turn a mode off"):
+            fn(x, w, "full-linear", FeatureMapSpec(8, 2), (True, False))
 
 
 class TestFactorizedSoftmax:
@@ -388,7 +388,7 @@ class TestFullLinear:
         rng = np.random.default_rng(28)
         w = random_attention_weights(8, 2, seed=19)
         x = rng.standard_normal((3, 4, 8)) * 0.5
-        ref = full_high_order_attention(x, w)
+        ref = materialized_attention(x, w, "full-softmax")
         errs = []
         for s in range(10):
             out = attention_sublayer(x, w, "full-linear", FeatureMapSpec(4096, 4, seed=s))
@@ -401,12 +401,7 @@ class TestFullLinear:
         w = random_attention_weights(8, 2, seed=21)
         spec = FeatureMapSpec(8, 4, seed=10)
         x = rng.standard_normal((3, 4, 8))
-        omega = projection_matrix(spec)
-        ref = np.zeros_like(x)
-        for h in range(w.heads):
-            wq, wk, wv, wo = w.head(h)
-            q, k, v = ((x @ m).reshape(12, 4) for m in (wq, wk, wv))
-            ref += (kernel_gate(q, k, spec, omega)[0] @ v).reshape(3, 4, 4) @ wo
+        ref = materialized_attention(x, w, "full-linear", spec)
         out = attention_sublayer(x, w, "full-linear", spec)
         assert np.abs(out - ref).max() <= 1e-12
 

@@ -12,14 +12,13 @@ from hypothesis import strategies as st
 
 from hot import autodiff as ad
 from hot import diffops as ops
-from hot.attention import EPS_Z
+from hot.attention import EPS_Z, kernel_gate
 from hot.autodiff import Tape, TapeConsumedError
 from hot.features import FeatureMapSpec
 from hot.model import (HeadConfig, HOTBlockConfig, HOTModel, ModelConfig, PatchEmbedConfig,
                        RotaryConfig)
 from hot.tensor import mode_product
 from hot.train import model_loss
-from oracles import kernel_gate
 
 
 def numeric_grad(f, x, eps=1e-6):

@@ -9,6 +9,7 @@ import pytest
 
 import hot.attention
 import hot.cli
+import hot.diffops
 import hot.model
 from hot import autodiff as ad
 from hot.cli import CONFIGS, ConfigError, load_config, main
@@ -198,7 +199,7 @@ class TestConfig:
         assert "config error:" in capsys.readouterr().err
 
     def test_no_oracle_cap_override(self, tmp_path):
-        # equiv's only capped call is the 7-token reduction row; no flag or key resizes it
+        # no flag or key sizes or caps equiv's oracle calls
         with pytest.raises(SystemExit) as exc:
             run_cli(["equiv", "--cap", "3", "--out", str(tmp_path / "o")])
         assert exc.value.code == 2
@@ -225,6 +226,8 @@ class TestEquivCommand:
         assert "\r" not in text
         header = text.splitlines()[0].split(",")
         assert header == ["check", "shape", "heads", "seed", "max_abs_err", "tolerance", "status"]
+        checks = {line.split(",")[0] for line in text.splitlines()[1:]}
+        assert {f"reduction-{v}" for v in hot.model.VARIANTS} <= checks
 
     def test_csv_floats_round_trip(self, tmp_path, small_equiv_config):
         out = tmp_path / "out"
@@ -266,6 +269,19 @@ class TestEquivCommand:
         summary = json.loads((out / "equiv_summary.json").read_text())
         failed = {a["name"].split()[0] for a in summary["assertions"] if not a["passed"]}
         assert "reduction-full-softmax" in failed
+
+    def test_injected_kernel_bug_fails_linear_reductions(self, tmp_path, small_equiv_config,
+                                                         monkeypatch):
+        # scale the program's kernelized mode product: the linear reduction rows
+        # hold it to the materialized kernel gate, which does not run it
+        real = hot.diffops.kernelized_mode_apply_v
+        monkeypatch.setattr(hot.diffops, "kernelized_mode_apply_v",
+                            lambda *args, **kwargs: ad.scale(real(*args, **kwargs), 1.5))
+        out = tmp_path / "out"
+        assert run_cli(["equiv", "--config", str(small_equiv_config), "--out", str(out)]) == 1
+        summary = json.loads((out / "equiv_summary.json").read_text())
+        failed = {a["name"].split()[0] for a in summary["assertions"] if not a["passed"]}
+        assert {"reduction-factored-linear", "reduction-full-linear"} <= failed
 
 
 class TestKronrankCommand:

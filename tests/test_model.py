@@ -12,12 +12,12 @@ import pytest
 
 import hot.model
 from hot import autodiff as ad
-from hot.attention import (DEFAULT_ORACLE_CAP, full_high_order_attention, materialized_attention,
-                           random_attention_weights)
+from hot.attention import materialized_attention, random_attention_weights
 from hot.autodiff import Tape
 from hot.features import FeatureMapSpec
 from hot.io import write_tensor
 from hot.model import (
+    FULL_SOFTMAX_MAX_TOKENS,
     HeadConfig,
     HOTBlockConfig,
     HOTModel,
@@ -32,7 +32,6 @@ from hot.model import (
     patchify,
 )
 from hot.train import SyntheticTaskSpec, gen_synthetic, train_model
-from oracles import materialized_sublayer
 
 
 def small_config(variant="factored-softmax", mask=(), rotary_modes=(0,), pooling="mean",
@@ -241,9 +240,9 @@ SUBLAYER_DIMS = [(6,), (2, 3), (3, 4, 5), (2, 2, 2, 2)]
 class TestSublayerMatchesAttentionFunctions:
     """The model's batched sublayer at B = 1 equals the materialized attention matrices.
 
-    Full softmax is held to ``full_high_order_attention``, factored softmax over
-    all modes to ``materialized_attention``, and the other cases to the
-    explicit Kronecker product of per-mode gates in ``oracles``.
+    Every variant, mask and pooling is held to ``materialized_attention`` with
+    the same arguments: the Kronecker product of per-mode gates, or one gate
+    over all tokens for a full variant, built explicitly.
     """
 
     @pytest.mark.parametrize("heads", [1, 2])
@@ -260,12 +259,7 @@ class TestSublayerMatchesAttentionFunctions:
         w = random_attention_weights(8, heads, seed=32)
         spec = FeatureMapSpec(16, w.d_head, seed=33) if "linear" in variant else None
         mask = tuple(i % 2 == 1 for i in range(len(dims))) if subset else ()
-        if variant == "full-softmax":
-            ref = full_high_order_attention(x, w)
-        elif variant == "factored-softmax" and not subset:
-            ref = materialized_attention(x, w, pooling)
-        else:
-            ref = materialized_sublayer(x, w, variant, spec, mask, pooling)
+        ref = materialized_attention(x, w, variant, spec, mask, pooling)
         out = attention_sublayer(x, w, variant, spec, mask, pooling)
         assert np.abs(out - ref).max() <= 1e-12
 
@@ -569,9 +563,9 @@ class TestConfigValidation:
             )
 
     def test_full_softmax_token_cap(self):
-        side = math.isqrt(DEFAULT_ORACLE_CAP)
+        side = math.isqrt(FULL_SOFTMAX_MAX_TOKENS)
         HOTBlockConfig(dims=(side, side), d_model=8, heads=2, variant="full-softmax")
-        with pytest.raises(ValueError, match=f"exceeds the cap of {DEFAULT_ORACLE_CAP}"):
+        with pytest.raises(ValueError, match=f"exceeds the cap of {FULL_SOFTMAX_MAX_TOKENS}"):
             HOTBlockConfig(dims=(side + 1, side), d_model=8, heads=2, variant="full-softmax")
         HOTBlockConfig(dims=(side + 1, side), d_model=8, heads=2, variant="factored-softmax")
 
