@@ -25,9 +25,11 @@ import dataclasses
 import functools
 import json
 import math
+import os
 import sys
 import types
 import typing
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -42,11 +44,16 @@ from .io import TensorFileError, read_tensor, write_tensor
 from .tensor import as_tensor
 
 FULL_SOFTMAX_MAX_TOKENS = 4096
-# Token rows per forward in HOTModel.predict.  An off-tape forward over 8192
-# rows holds less than a taped train step over 4096 (batch 64 at 8x8 tokens,
-# or batch 8 at 8^3), so at those configurations evaluation does not set a
-# training run's peak memory.
+# Token rows that HOTModel.predict's concurrent forwards hold together.  An
+# off-tape forward over 8192 rows holds less than a taped train step over 4096
+# (batch 64 at 8x8 tokens, or batch 8 at 8^3), so at those configurations
+# evaluation does not set a training run's peak memory.
 PREDICT_ROWS = 8192
+# Forwards that HOTModel.predict runs side by side, at most: one per CPU this
+# process may run on, fewer where PREDICT_ROWS holds fewer samples.  Every op
+# of the forward releases the GIL.
+PREDICT_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                   else os.cpu_count() or 1)
 
 
 @dataclass(frozen=True)
@@ -465,10 +472,7 @@ class HOTModel:
         Pass leaves made by ``Tape.var`` to track gradients.
         """
         cfg = self.config
-        if x_raw.shape[1:] != cfg.raw_dims:
-            raise ValueError(f"raw input dims {x_raw.shape[1:]} != configured {cfg.raw_dims}")
-        if x_raw.shape[0] == 0:
-            raise ValueError("empty batch: forward needs at least one sample")
+        self._check_batch(x_raw)
         if params is None:
             params = {k: ad.constant(v) for k, v in self.params.items()}
 
@@ -489,19 +493,55 @@ class HOTModel:
             out = ad.reshape(out, (x_raw.shape[0], cfg.head.horizon, cfg.head.n_series))
         return out
 
-    def predict(self, x_raw: np.ndarray) -> np.ndarray:
-        """``forward(x_raw).value``, computed over chunks of at most :data:`PREDICT_ROWS` token rows.
+    def _check_batch(self, x_raw: np.ndarray) -> None:
+        """Raise ``ValueError`` unless ``x_raw`` is a non-empty batch of the configured raw dims."""
+        raw_dims = self.config.raw_dims
+        if x_raw.shape[1:] != raw_dims:
+            raise ValueError(f"raw input dims {x_raw.shape[1:]} != configured {raw_dims}")
+        if x_raw.shape[0] == 0:
+            raise ValueError("empty batch: forward needs at least one sample")
 
-        A chunk is ``PREDICT_ROWS // prod(token_dims)`` samples, and one sample
-        when a single sample has more rows than that.  Only one chunk's
-        working set is alive at a time, so memory grows neither with the
-        number of samples nor with their grid size.
+    def predict(self, x_raw: np.ndarray) -> np.ndarray:
+        """``forward(x_raw).value``, computed over chunks run on up to :data:`PREDICT_WORKERS` threads.
+
+        The chunks in flight hold at most :data:`PREDICT_ROWS` token rows, so
+        memory grows neither with the number of samples, nor with their grid
+        size, nor with the CPU count: ``workers = min(PREDICT_WORKERS,
+        PREDICT_ROWS // prod(token_dims))`` chunks run at once, at least one,
+        each of ``PREDICT_ROWS // (workers * prod(token_dims))`` samples, and
+        one sample when a single sample has more rows than that.  With one
+        chunk or one worker the chunks run one after another on the calling
+        thread.  Otherwise chunk ``k`` runs on thread ``k % workers``: the
+        calling thread runs its share, and the helpers of a per-call thread
+        pool run the rest and are joined before this returns.  An exception
+        raised in any chunk reaches the caller.  Outputs are concatenated in
+        sample order, so they do not depend on which thread ran which chunk;
+        since the worker count sets the chunks, and BLAS rounds each chunk's
+        products its own way, they can differ in the last bits between CPU
+        counts.  The input is checked as :meth:`forward` checks it before any
+        thread starts.
         """
-        chunk = max(1, PREDICT_ROWS // math.prod(self.config.token_dims))
-        if x_raw.shape[0] <= chunk:
+        self._check_batch(x_raw)
+        rows = math.prod(self.config.token_dims)
+        workers = max(1, min(PREDICT_WORKERS, PREDICT_ROWS // rows))
+        chunk = max(1, PREDICT_ROWS // (workers * rows))
+        n = x_raw.shape[0]
+        if n <= chunk:
             return self.forward(x_raw).value
-        return np.concatenate([self.forward(x_raw[i:i + chunk]).value
-                               for i in range(0, x_raw.shape[0], chunk)])
+        starts = range(0, n, chunk)
+        workers = min(workers, len(starts))
+
+        def run(group):
+            return [self.forward(x_raw[i:i + chunk]).value for i in group]
+
+        if workers == 1:
+            return np.concatenate(run(starts))
+        # the calling thread runs its own share, so that only workers - 1 threads start
+        groups = [starts[k::workers] for k in range(workers)]
+        with ThreadPoolExecutor(workers - 1, thread_name_prefix="hot-predict") as pool:
+            helped = pool.map(run, groups[1:])
+            outs = [run(groups[0]), *helped]
+        return np.concatenate([outs[k % workers][k // workers] for k in range(len(starts))])
 
     # -- checkpointing ------------------------------------------------------
 

@@ -4,6 +4,8 @@ import dataclasses
 import gc
 import json
 import math
+import sys
+import threading
 import time
 import tracemalloc
 
@@ -385,6 +387,7 @@ class TestModelForward:
 
     @TRAINING_CONFIGS
     def test_predict_runs_forward_in_chunks(self, cfg, monkeypatch):
+        monkeypatch.setattr(hot.model, "PREDICT_WORKERS", 1)
         model = HOTModel.initialize(cfg, seed=2)
         c = PREDICT_ROWS // math.prod(cfg.token_dims)
         x = np.random.default_rng(16).standard_normal((2 * c + 2,) + cfg.raw_dims)
@@ -405,6 +408,128 @@ class TestModelForward:
         out = model.predict(x)
         assert [len(chunk) for chunk in chunks] == [1, 1, 1]
         assert np.abs(out - whole).max() <= 1e-12
+
+    @TRAINING_CONFIGS
+    def test_predict_runs_chunks_on_two_threads_in_sample_order(self, cfg, monkeypatch):
+        monkeypatch.setattr(hot.model, "PREDICT_WORKERS", 2)
+        model = HOTModel.initialize(cfg, seed=2)
+        c = PREDICT_ROWS // (2 * math.prod(cfg.token_dims))
+        x = np.random.default_rng(16).standard_normal((4 * c + 1,) + cfg.raw_dims)
+        serial = np.concatenate([model.forward(x[i:i + c]).value for i in range(0, len(x), c)])
+        calls, forward = [], model.forward
+
+        def record_chunk(x_raw):
+            calls.append((len(x_raw), threading.get_ident()))
+            return forward(x_raw)
+
+        monkeypatch.setattr(model, "forward", record_chunk)
+        out = model.predict(x)
+        assert sorted(n for n, _ in calls) == [1, c, c, c, c]
+        assert np.array_equal(out, serial)
+        threads = {thread for _, thread in calls}
+        assert threading.get_ident() in threads and len(threads) == 2
+
+    @TRAINING_CONFIGS
+    @pytest.mark.parametrize("workers", [2, 3, 4])
+    def test_predict_on_more_workers_moves_outputs_only_by_rounding(self, cfg, workers,
+                                                                     monkeypatch):
+        # the worker count sets the chunks (128, 64, 42 and 32 samples), and BLAS rounds
+        # each chunk's matrix products its own way
+        model = HOTModel.initialize(cfg, seed=2)
+        x = np.random.default_rng(21).standard_normal((131,) + cfg.raw_dims)
+        monkeypatch.setattr(hot.model, "PREDICT_WORKERS", 1)
+        serial = model.predict(x)
+        monkeypatch.setattr(hot.model, "PREDICT_WORKERS", workers)
+        assert np.abs(model.predict(x) - serial).max() <= 1e-12
+
+    @pytest.mark.parametrize("rows", [19, 60, 400])
+    def test_predict_holds_at_most_the_row_budget_on_many_workers(self, rows, monkeypatch):
+        # 20 token rows a sample: one sample above the budget, then 3 and 20 workers
+        monkeypatch.setattr(hot.model, "PREDICT_WORKERS", 64)
+        monkeypatch.setattr(hot.model, "PREDICT_ROWS", rows)
+        model = HOTModel.initialize(small_config(), seed=2)
+        forward, lock = model.forward, threading.Lock()
+        in_flight, peak = [0], [0]
+
+        def count_samples(x_raw):
+            with lock:
+                in_flight[0] += len(x_raw)
+                peak[0] = max(peak[0], in_flight[0])
+            time.sleep(0.01)  # so that the threads' chunks overlap
+            try:
+                return forward(x_raw)
+            finally:
+                with lock:
+                    in_flight[0] -= len(x_raw)
+
+        monkeypatch.setattr(model, "forward", count_samples)
+        model.predict(np.random.default_rng(22).standard_normal((45, 4, 5)))
+        assert 1 <= peak[0] <= max(1, rows // 20)
+
+    def test_predict_on_more_workers_than_cpus_runs_every_chunk_once(self, monkeypatch):
+        monkeypatch.setattr(hot.model, "PREDICT_WORKERS", 8)
+        monkeypatch.setattr(hot.model, "PREDICT_ROWS", 8 * 20)  # one 4x5 sample a chunk
+        model = HOTModel.initialize(small_config(), seed=2)
+        x = np.random.default_rng(20).standard_normal((40, 4, 5))
+        serial = np.concatenate([model.forward(x[i:i + 1]).value for i in range(len(x))])
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # threads switch often, so their chunks finish out of order
+        try:
+            out = model.predict(x)
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(out, serial)
+
+    @pytest.mark.parametrize("workers,rows,samples", [(1, 20, 3), (2, 40, 1), (2, 20, 3)],
+                             ids=["one-worker", "one-chunk", "one-sample-budget"])
+    def test_predict_starts_no_thread_for_one_worker_or_one_chunk(self, workers, rows, samples,
+                                                                   monkeypatch):
+        monkeypatch.setattr(hot.model, "PREDICT_WORKERS", workers)
+        monkeypatch.setattr(hot.model, "PREDICT_ROWS", rows)  # 20 token rows a 4x5 sample
+        monkeypatch.setattr(threading.Thread, "start",
+                            lambda self: pytest.fail("predict started a thread"))
+        model = HOTModel.initialize(small_config(), seed=2)
+        x = np.random.default_rng(19).standard_normal((samples, 4, 5))
+        c = max(1, rows // (workers * 20))
+        serial = np.concatenate([model.forward(x[i:i + c]).value for i in range(0, samples, c)])
+        assert np.array_equal(model.predict(x), serial)
+
+    @pytest.mark.parametrize("x", [np.zeros((9, 5, 4)), np.zeros((9, 20))],
+                             ids=["transposed", "flat"])
+    def test_predict_checks_its_input_before_any_thread_starts(self, x, monkeypatch):
+        monkeypatch.setattr(hot.model, "PREDICT_WORKERS", 2)
+        monkeypatch.setattr(hot.model, "PREDICT_ROWS", 40)  # two one-sample chunks at once
+        model = HOTModel.initialize(small_config(), seed=2)
+        with pytest.raises(ValueError) as want:
+            model.forward(x)
+        monkeypatch.setattr(threading.Thread, "start",
+                            lambda self: pytest.fail("predict started a thread"))
+        with pytest.raises(ValueError) as got:
+            model.predict(x)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("failing", [2, 3], ids=["calling-thread", "helper"])
+    def test_predict_raises_a_chunks_error_and_joins_its_threads(self, failing, monkeypatch):
+        monkeypatch.setattr(hot.model, "PREDICT_WORKERS", 2)
+        monkeypatch.setattr(hot.model, "PREDICT_ROWS", 40)  # two one-sample chunks at once
+        model = HOTModel.initialize(small_config(), seed=2)
+        forward, raised_on = model.forward, []
+
+        def forward_failing_on_one_sample(x_raw):
+            if x_raw[0, 0, 0] == failing:
+                raised_on.append(threading.current_thread())
+                raise RuntimeError(f"chunk {failing} failed")
+            return forward(x_raw)
+
+        monkeypatch.setattr(model, "forward", forward_failing_on_one_sample)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match=f"chunk {failing} failed"):
+            model.predict(np.arange(6.0)[:, None, None] * np.ones((6, 4, 5)))
+        assert len(raised_on) == 1
+        on_calling_thread = raised_on[0] is threading.current_thread()
+        assert on_calling_thread == (failing % 2 == 0)  # chunk k runs on thread k % 2
+        assert threading.active_count() == before
+        assert not [t for t in threading.enumerate() if t.name.startswith("hot-predict")]
 
     def test_predict_memory_does_not_grow_with_the_number_of_chunks(self):
         # 8^3 tokens: 16 samples a chunk, the grid of the voxel training benchmark
@@ -442,10 +567,13 @@ class TestModelForward:
         assert str(got.value) == str(want.value)
 
     @TRAINING_CONFIGS
-    def test_predict_leaves_no_reference_cycles(self, cfg):
+    @pytest.mark.parametrize("chunks", [1, 3])
+    def test_predict_leaves_no_reference_cycles(self, cfg, chunks, monkeypatch):
         # a cycle would keep each call's activations alive until the cyclic collector runs
+        monkeypatch.setattr(hot.model, "PREDICT_WORKERS", 2)
         model = HOTModel.initialize(cfg, seed=0)
-        x = np.random.default_rng(15).standard_normal((2,) + cfg.raw_dims)
+        c = PREDICT_ROWS // (2 * math.prod(cfg.token_dims))
+        x = np.random.default_rng(15).standard_normal(((chunks - 1) * c + 2,) + cfg.raw_dims)
         gc.collect()
         gc.disable()
         try:
