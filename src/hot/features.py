@@ -14,7 +14,6 @@ softmax kernel exp(q . k / sqrt(d)).  The map itself is
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,13 +37,11 @@ class FeatureMapSpec:
             raise ValueError(f"unknown feature map variant {self.variant!r}")
 
 
-@functools.lru_cache(maxsize=32)
 def projection_matrix(spec: FeatureMapSpec) -> np.ndarray:
     """Block-orthogonal Gaussian projection matrix of shape (M, input_dim).
 
     Rows are orthogonal within each block of ``input_dim`` rows and have
     chi-distributed norms, so every row is marginally standard normal.
-    Read-only, since the cache hands the same array to every caller.
     """
     rng = np.random.default_rng(spec.seed)
     m, d = spec.num_features, spec.input_dim
@@ -59,6 +56,4 @@ def projection_matrix(spec: FeatureMapSpec) -> np.ndarray:
         remaining -= take
     omega = np.vstack(blocks)
     norms = np.linalg.norm(rng.standard_normal((m, d)), axis=1)
-    omega = omega * norms[:, None]
-    omega.flags.writeable = False
-    return omega
+    return omega * norms[:, None]

@@ -289,13 +289,6 @@ class TestFeatureMap:
         spec = FeatureMapSpec(64, 4, seed=3)
         assert np.array_equal(projection_matrix(spec), projection_matrix(spec))
 
-    def test_cached_per_spec_and_read_only(self):
-        omega = projection_matrix(FeatureMapSpec(64, 4, seed=3))
-        assert projection_matrix(FeatureMapSpec(64, 4, seed=3)) is omega
-        assert projection_matrix(FeatureMapSpec(64, 4, seed=4)) is not omega
-        assert not omega.flags.writeable
-        assert np.array_equal(omega, projection_matrix.__wrapped__(FeatureMapSpec(64, 4, seed=3)))
-
 
 class TestKernelizedModeApply:
     def test_implied_rows_sum_to_one(self):
