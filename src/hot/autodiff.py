@@ -173,17 +173,6 @@ class Var:
         """The adjoint left by ``Tape.backward``; always None on a constant."""
         return None if self._slot is None else self._slot.grad
 
-    @grad.setter
-    def grad(self, g) -> None:
-        if self._slot is None:
-            raise AttributeError("a constant has no gradient")
-        self._slot.grad = g
-
-    @property
-    def requires_grad(self) -> bool:
-        """Whether this Var was made on a tape (a constant holds none)."""
-        return self._tape is not None
-
     @property
     def tape(self) -> Tape | None:
         """The recording tape; None for a constant, or once the tape is freed."""

@@ -509,38 +509,33 @@ class HOTModel:
         size, nor with the CPU count: ``workers = min(PREDICT_WORKERS,
         PREDICT_ROWS // prod(token_dims))`` chunks run at once, at least one,
         each of ``PREDICT_ROWS // (workers * prod(token_dims))`` samples, and
-        one sample when a single sample has more rows than that.  With one
-        chunk or one worker the chunks run one after another on the calling
-        thread.  Otherwise chunk ``k`` runs on thread ``k % workers``: the
-        calling thread runs its share, and the helpers of a per-call thread
-        pool run the rest and are joined before this returns.  An exception
-        raised in any chunk reaches the caller.  Outputs are concatenated in
-        sample order, so they do not depend on which thread ran which chunk;
-        since the worker count sets the chunks, and BLAS rounds each chunk's
-        products its own way, they can differ in the last bits between CPU
-        counts.  The input is checked as :meth:`forward` checks it before any
-        thread starts.
+        one sample when a single sample has more rows than that.  Chunk ``k``
+        goes to share ``k % workers``, with no more shares than chunks: the
+        calling thread runs share 0, and a thread pool made for the call runs
+        each other share on a helper of its own, joined before this returns.
+        With one share (one worker, or one chunk) the pool is given nothing to
+        run and starts no thread.  An exception raised in any chunk reaches
+        the caller.  Outputs are concatenated in sample order, so they do not
+        depend on which thread ran which chunk; since the worker count sets
+        the chunks, and BLAS rounds each chunk's products its own way, they
+        can differ in the last bits between CPU counts.  The input is checked
+        as :meth:`forward` checks it before any thread starts.
         """
         self._check_batch(x_raw)
         rows = math.prod(self.config.token_dims)
         workers = max(1, min(PREDICT_WORKERS, PREDICT_ROWS // rows))
         chunk = max(1, PREDICT_ROWS // (workers * rows))
-        n = x_raw.shape[0]
-        if n <= chunk:
-            return self.forward(x_raw).value
-        starts = range(0, n, chunk)
+        starts = range(0, x_raw.shape[0], chunk)
         workers = min(workers, len(starts))
+        shares = [starts[k::workers] for k in range(workers)]
 
-        def run(group):
-            return [self.forward(x_raw[i:i + chunk]).value for i in group]
+        def run(share):
+            return [self.forward(x_raw[i:i + chunk]).value for i in share]
 
-        if workers == 1:
-            return np.concatenate(run(starts))
-        # the calling thread runs its own share, so that only workers - 1 threads start
-        groups = [starts[k::workers] for k in range(workers)]
-        with ThreadPoolExecutor(workers - 1, thread_name_prefix="hot-predict") as pool:
-            helped = pool.map(run, groups[1:])
-            outs = [run(groups[0]), *helped]
+        # the calling thread runs shares[0], so that at most workers - 1 threads start
+        with ThreadPoolExecutor(workers, thread_name_prefix="hot-predict") as pool:
+            helped = pool.map(run, shares[1:])
+            outs = [run(shares[0]), *helped]
         return np.concatenate([outs[k % workers][k // workers] for k in range(len(starts))])
 
     # -- checkpointing ------------------------------------------------------

@@ -387,6 +387,10 @@ def train_model(model: HOTModel, data: Dataset, steps: int, batch_size: int = 32
                                ("eval_every", eval_every, 1)):
         if value < least:
             raise ValueError(f"{name} must be at least {least}, got {value}")
+    if model.config.head.task == "forecast":
+        loss_of, error_of = mse, mae
+    else:
+        loss_of, error_of = cross_entropy, lambda logits, labels: 1.0 - accuracy(logits, labels)
     rng = np.random.default_rng(seed)
     state = adam_init(model.params, lr=lr)
     history = []
@@ -403,26 +407,15 @@ def train_model(model: HOTModel, data: Dataset, steps: int, batch_size: int = 32
         model.params = adam_step(state, grads, model.params)
         if step % eval_every == 0 or step == steps:
             val_pred = model.predict(data.val_x)
-            if model.config.head.task == "forecast":
-                v_mse = mse(val_pred, data.val_y)
-                v_mae = mae(val_pred, data.val_y)
-            else:
-                v_mse = cross_entropy(val_pred, data.val_y)
-                v_mae = 1.0 - accuracy(val_pred, data.val_y)
+            v_mse, v_mae = loss_of(val_pred, data.val_y), error_of(val_pred, data.val_y)
             if v_mae < best_mae[0]:
                 best_mae = (v_mae, step)
             if v_mse < best_mse[0]:
                 best_mse = (v_mse, step)
             history.append((step, float(loss.value), v_mse, v_mae, time.perf_counter() - start))
-    train_pred = model.predict(data.train_x)
-    if model.config.head.task == "forecast":
-        final_train = mse(train_pred, data.train_y)
-        final_val = mse(model.predict(data.val_x), data.val_y)
-        final_val_mae = mae(model.predict(data.val_x), data.val_y)
-    else:
-        final_train = cross_entropy(train_pred, data.train_y)
-        final_val = cross_entropy(model.predict(data.val_x), data.val_y)
-        final_val_mae = 1.0 - accuracy(model.predict(data.val_x), data.val_y)
+    final_train = loss_of(model.predict(data.train_x), data.train_y)
+    final_val = loss_of(model.predict(data.val_x), data.val_y)
+    final_val_mae = error_of(model.predict(data.val_x), data.val_y)
     return TrainResult(history, final_train, final_val, final_val_mae,
                        best_val_mae_step=best_mae[1], best_val_mse_step=best_mse[1])
 

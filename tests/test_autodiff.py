@@ -240,7 +240,7 @@ class TestAffine:
         assert b.grad.flags.writeable if bias_tracked else b.grad is None
         for var, v0, rebuild in ((x, x0, lambda v: (v, w0, b0)), (w, w0, lambda v: (x0, v, b0)),
                                  (b, b0, lambda v: (x0, w0, v))):
-            if var.requires_grad:
+            if var.tape is not None:
                 num = numeric_grad(lambda v: float(loss_of(*map(ad.constant, rebuild(v))).value),
                                    v0.copy())
                 assert np.abs(var.grad - num).max() <= 1e-7 * max(1.0, np.abs(num).max())
@@ -336,6 +336,15 @@ class TestTape:
         assert x.grad == pytest.approx(4.0)
         assert c.grad is None
 
+    @pytest.mark.parametrize("tracked", [False, True], ids=["constant", "tracked"])
+    def test_grad_cannot_be_assigned(self, tracked):
+        # only Tape.backward writes a gradient, into the tape's slot
+        tape = Tape()
+        var = tape.var(np.ones(2)) if tracked else ad.constant(np.ones(2))
+        with pytest.raises(AttributeError):
+            var.grad = np.zeros(2)
+        assert var.grad is None
+
     def test_grad_accumulates_across_uses(self):
         tape = Tape()
         x = tape.var(np.array(3.0))
@@ -416,7 +425,7 @@ class TestNodeContract:
                 for i, v in enumerate(_arrays(*shapes))]
         out = op(*args)
         assert tape.recorded == 1
-        assert out.requires_grad and out.tape is tape
+        assert out.tape is tape
 
     @pytest.mark.parametrize("op,shapes", [pytest.param(op, shapes, id=name)
                                            for name, op, shapes in _PRIMITIVES])
@@ -427,7 +436,7 @@ class TestNodeContract:
         out = op(*[lift(v) for v in _arrays(*shapes)])
         assert tape.recorded == 0
         assert isinstance(out, ad.Var)
-        assert out.tape is None and not out.requires_grad
+        assert out.tape is None
 
     @pytest.mark.parametrize("name,op,shapes,tracked", _LIFETIME_CASES)
     def test_node_keeps_only_the_values_its_adjoints_read(self, name, op, shapes, tracked):
@@ -589,7 +598,7 @@ class TestGradOwnership:
         assert not np.shares_memory(a.grad, b.grad)
         for mine, other in ((a, b), (b, a)):
             before = other.grad.copy()
-            mine.grad += 1.0
+            mine.grad[...] += 1.0
             assert np.array_equal(other.grad, before)
 
     def test_same_leaf_twice_accumulates_both_adjoints(self):

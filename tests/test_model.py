@@ -480,6 +480,27 @@ class TestModelForward:
             sys.setswitchinterval(interval)
         assert np.array_equal(out, serial)
 
+    def test_predict_on_fewer_chunks_than_workers_starts_a_helper_a_chunk(self, monkeypatch):
+        monkeypatch.setattr(hot.model, "PREDICT_WORKERS", 8)
+        monkeypatch.setattr(hot.model, "PREDICT_ROWS", 8 * 20)  # one 4x5 sample a chunk
+        model = HOTModel.initialize(small_config(), seed=2)
+        x = np.random.default_rng(23).standard_normal((3, 4, 5))
+        serial = np.concatenate([model.forward(x[i:i + 1]).value for i in range(len(x))])
+        forward, threads = model.forward, []
+        together = threading.Barrier(3, timeout=10)  # breaks unless all three chunks run at once
+
+        def record_thread(x_raw):
+            threads.append(threading.current_thread())
+            together.wait()
+            return forward(x_raw)
+
+        monkeypatch.setattr(model, "forward", record_thread)
+        out = model.predict(x)
+        assert np.array_equal(out, serial)
+        assert len(set(threads)) == 3 and threading.current_thread() in threads
+        helpers = [t for t in threads if t is not threading.current_thread()]
+        assert all(t.name.startswith("hot-predict") for t in helpers)
+
     @pytest.mark.parametrize("workers,rows,samples", [(1, 20, 3), (2, 40, 1), (2, 20, 3)],
                              ids=["one-worker", "one-chunk", "one-sample-budget"])
     def test_predict_starts_no_thread_for_one_worker_or_one_chunk(self, workers, rows, samples,
